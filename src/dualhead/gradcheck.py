@@ -199,13 +199,14 @@ def _unit_rows(rng, n: int, dim: int) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def _random_key_batch(rng, k: int, d: int, L: int, c: int, slot0_label: int) -> KeyBatch:
-    labels = np.concatenate([[slot0_label], rng.integers(0, c, size=k)]).astype(np.int64)
-    return KeyBatch(
-        h_keys=Tensor(_unit_rows(rng, k + 1, d)),
-        z_keys=Tensor(_unit_rows(rng, k + 1, L)),
-        labels=labels,
-    )
+def _random_key_batch(rng, k: int, d: int, L: int, c: int, slot0_labels: np.ndarray) -> KeyBatch:
+    """K random unit keys per query, drawn query by query, behind each slot-0 label."""
+    labels, h, z = [], [], []
+    for y in slot0_labels:
+        labels.append(np.concatenate([[y], rng.integers(0, c, size=k)]))
+        h.append(_unit_rows(rng, k + 1, d))
+        z.append(_unit_rows(rng, k + 1, L))
+    return KeyBatch(h_keys=np.stack(h), z_keys=np.stack(z), labels=np.stack(labels).astype(np.int64))
 
 
 def _loss_fixture(rng, tau: float = 0.07):
@@ -215,17 +216,15 @@ def _loss_fixture(rng, tau: float = 0.07):
     x = Tensor(rng.normal(size=(b, dims.in_dim)))
     y = rng.integers(0, dims.class_count, size=b).astype(np.int64)
     k = int(rng.integers(3, 9))
-    kbs = [
-        _random_key_batch(rng, k, dims.feature_dim, dims.projector_dim, dims.class_count, int(y[i]))
-        for i in range(b)
-    ]
+    keys = _random_key_batch(rng, k, dims.feature_dim, dims.projector_dim, dims.class_count, y)
     wrt = [t for _, t in params.named_parameters()]
-    return params, x, y, kbs, tau, wrt
+    return params, x, y, keys, tau, wrt
 
 
 def _loss_case(kind: str):
     def build(rng):
-        params, x, y, kbs, tau, wrt = _loss_fixture(rng)
+        params, x, y, keys, tau, wrt = _loss_fixture(rng)
+        first = KeyBatch(keys.h_keys[:1], keys.z_keys[:1], keys.labels[:1])  # query 0's keys only
 
         def forward() -> Tensor:
             h, z, logits = model_mod.forward_query(params, x)
@@ -233,18 +232,18 @@ def _loss_case(kind: str):
                 return losses_mod.ce(logits, y)
             if kind == "info_nce":
                 q = nd.select_rows(z, [0])
-                return losses_mod.info_nce(q, kbs[0], positive_index=1, tau=tau)
+                return losses_mod.info_nce(q, first, positive_index=1, tau=tau)
             if kind == "cce_literal":
-                return losses_mod.cce(nd.row_l2_normalize(h), y, params.classifier_W, kbs, tau, variant="literal")
+                return losses_mod.cce(nd.row_l2_normalize(h), y, params.classifier_W, keys, tau, variant="literal")
             if kind == "cce_per_key":
-                return losses_mod.cce(nd.row_l2_normalize(h), y, params.classifier_W, kbs, tau, variant="per_key")
+                return losses_mod.cce(nd.row_l2_normalize(h), y, params.classifier_W, keys, tau, variant="per_key")
             if kind == "ccl":
-                return losses_mod.ccl(z, y, kbs, tau)
+                return losses_mod.ccl(z, y, keys, tau)
             if kind == "joint_total":
                 terms = losses_mod.LossTerms()
                 terms.ce = losses_mod.ce(logits, y)
-                terms.cce = losses_mod.cce(nd.row_l2_normalize(h), y, params.classifier_W, kbs, tau)
-                terms.ccl = losses_mod.ccl(z, y, kbs, tau)
+                terms.cce = losses_mod.cce(nd.row_l2_normalize(h), y, params.classifier_W, keys, tau)
+                terms.ccl = losses_mod.ccl(z, y, keys, tau)
                 return losses_mod.joint_total(terms)
             raise ValueError(kind)
 

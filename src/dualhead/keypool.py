@@ -2,32 +2,58 @@
 
 Two interchangeable generators sit behind one sampling contract:
 
-* ``MocoQueues``: one FIFO buffer per class, filled with detached keys
-  from the momentum twin, oldest entries evicted at capacity;
+* ``MocoQueues``: one ring buffer per class (``C x Q x d`` and ``C x Q x L``
+  arrays plus fill and head counters), filled with detached keys from the
+  momentum twin, oldest entries evicted at capacity;
 * ``MemoryBank``: one momentum-mixed snapshot per training example,
   re-normalized to the unit sphere after every update.
 
-Sampling returns a ``KeyBatch`` whose slot 0 is always the query's own
-key, so the softmax bank has K+1 rows and the query's positive set is
-never empty. Draws are uniform with replacement (early buffers can hold
-fewer entries than requested), balanced per class, and fully determined
-by the caller's generator.
+``sample`` takes the batch's own query keys and returns one ``KeyBatch``
+for the whole batch, whose slot 0 is each query's own key, so every
+softmax bank has K+1 rows and no query's positive set is ever empty.
+Draws are uniform with replacement (early buffers can hold fewer entries
+than requested), balanced per class, and fully determined by the
+caller's generator: one ``rng.integers`` call per (query, non-empty
+class), queries in batch order and classes ascending. Unit norm is
+checked once per enqueued, installed, mixed-in or gathered block of keys.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-
-from .ndgrad import Tensor
 
 UNIT_TOL = 1e-9
 
 
 class EmptyPoolError(RuntimeError):
     """Sampling was attempted before any key was available."""
+
+
+def _check_unit(**blocks: np.ndarray) -> None:
+    """Every vector along each block's last axis must have unit norm (NaN fails too)."""
+    for name, rows in blocks.items():
+        norms = np.linalg.norm(rows, axis=-1)
+        bad = ~(np.abs(norms - 1.0) <= UNIT_TOL)
+        if bad.any():
+            raise ValueError(f"{name} must be unit-norm, got |v|={float(norms[bad].flat[0])!r}")
+
+
+def _key_rows(h, z, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    h, z, labels = np.asarray(h, dtype=np.float64), np.asarray(z, dtype=np.float64), np.asarray(labels, dtype=np.int64)
+    if h.ndim != 2 or z.ndim != 2 or labels.ndim != 1 or not h.shape[0] == z.shape[0] == labels.shape[0]:
+        raise ValueError(f"need (n x d), (n x L) and (n,) key rows, got {h.shape}, {z.shape}, {labels.shape}")
+    return h, z, labels
+
+
+def _draw(rng: np.random.Generator, queries: int, sizes: list[int], per_class: int) -> np.ndarray:
+    """(queries x classes x per_class) uniform positions: one rng.integers call per (query, class)."""
+    out = np.empty((queries, len(sizes), per_class), dtype=np.int64)
+    for i in range(queries):
+        for j, n in enumerate(sizes):
+            out[i, j] = rng.integers(0, n, size=per_class)
+    return out
 
 
 @dataclass
@@ -42,83 +68,100 @@ class KeyEntry:
         self.h_key = np.asarray(self.h_key, dtype=np.float64)
         self.z_key = np.asarray(self.z_key, dtype=np.float64)
         self.label = int(self.label)
-        for name, vec in (("h_key", self.h_key), ("z_key", self.z_key)):
-            if vec.ndim != 1:
-                raise ValueError(f"{name} must be 1-D, got shape {vec.shape}")
-            norm = float(np.linalg.norm(vec))
-            if abs(norm - 1.0) > UNIT_TOL:
-                raise ValueError(f"{name} must be unit-norm, got |v|={norm!r}")
+        if self.h_key.ndim != 1 or self.z_key.ndim != 1:
+            raise ValueError(f"keys must be 1-D, got shapes {self.h_key.shape} and {self.z_key.shape}")
+        _check_unit(h_key=self.h_key, z_key=self.z_key)
 
 
 @dataclass
 class KeyBatch:
-    """K+1 keys for one query; slot 0 is the query's own key."""
+    """K+1 keys for each of B queries, slot 0 the query's own; constant arrays, never on the tape."""
 
-    h_keys: Tensor  # ((K+1) x d), grad-disabled
-    z_keys: Tensor  # ((K+1) x L), grad-disabled
-    labels: np.ndarray  # (K+1,) int64
+    h_keys: np.ndarray  # (B x (K+1) x d)
+    z_keys: np.ndarray  # (B x (K+1) x L)
+    labels: np.ndarray  # (B x (K+1)) int64
 
     @property
     def size(self) -> int:
-        """K: the number of sampled keys, excluding the query slot."""
-        return int(self.labels.shape[0]) - 1
+        """K: the number of sampled keys per query, excluding slot 0."""
+        return int(self.labels.shape[1]) - 1
 
-    def positive_mask(self, label: int) -> np.ndarray:
-        return self.labels == int(label)
+    def positive_mask(self, labels: np.ndarray) -> np.ndarray:
+        """(B x (K+1)) bool: the keys sharing their query's label."""
+        return self.labels == np.asarray(labels, dtype=np.int64)[:, None]
 
 
-def _make_batch(query: KeyEntry, entries: list[KeyEntry]) -> KeyBatch:
-    rows = [query, *entries]
-    h = np.stack([e.h_key for e in rows])
-    z = np.stack([e.z_key for e in rows])
-    labels = np.array([e.label for e in rows], dtype=np.int64)
-    return KeyBatch(h_keys=Tensor(h), z_keys=Tensor(z), labels=labels)
+def _with_queries(queries, h: np.ndarray, z: np.ndarray, labels: np.ndarray) -> KeyBatch:
+    """Put each query's own key in slot 0 ahead of its drawn keys, then check every row."""
+    h_q, z_q, y = _key_rows(*queries)
+    batch = KeyBatch(
+        h_keys=np.concatenate([h_q[:, None], h], axis=1),
+        z_keys=np.concatenate([z_q[:, None], z], axis=1),
+        labels=np.concatenate([y[:, None], labels], axis=1),
+    )
+    _check_unit(h_keys=batch.h_keys, z_keys=batch.z_keys)
+    return batch
 
 
 class MocoQueues:
-    """Per-class FIFO buffers of detached keys, each capped at queue_size."""
+    """Per-class ring buffers of detached keys, each capped at queue_size."""
 
     def __init__(self, class_count: int, queue_size: int):
         if class_count < 1 or queue_size < 1:
             raise ValueError("class_count and queue_size must be positive")
         self.class_count = int(class_count)
         self.queue_size = int(queue_size)
-        self._queues: list[deque[KeyEntry]] = [deque(maxlen=queue_size) for _ in range(class_count)]
+        self._h: np.ndarray | None = None  # (C x Q x d), allocated by the first enqueue
+        self._z: np.ndarray | None = None  # (C x Q x L)
+        self._fill = np.zeros(self.class_count, dtype=np.int64)
+        self._head = np.zeros(self.class_count, dtype=np.int64)  # ring slot of each class's oldest key
 
     def __len__(self) -> int:
-        return sum(len(q) for q in self._queues)
+        return int(self._fill.sum())
 
     def class_sizes(self) -> list[int]:
-        return [len(q) for q in self._queues]
+        return self._fill.tolist()
 
     def entries(self, label: int) -> list[KeyEntry]:
-        return list(self._queues[label])
+        """Copies of one class's keys, oldest first."""
+        slots = (self._head[label] + np.arange(self._fill[label])) % self.queue_size
+        return [KeyEntry(self._h[label, s].copy(), self._z[label, s].copy(), label) for s in slots]
 
-    def enqueue(self, entries: list[KeyEntry]) -> None:
-        """Append each entry to its class buffer, evicting the oldest at capacity."""
-        for e in entries:
-            if not 0 <= e.label < self.class_count:
-                raise IndexError(f"label {e.label} out of range [0, {self.class_count})")
-            self._queues[e.label].append(e)
+    def enqueue(self, h: np.ndarray, z: np.ndarray, labels: np.ndarray) -> None:
+        """Append each row to its class buffer in order, evicting the oldest at capacity."""
+        h, z, labels = _key_rows(h, z, labels)
+        outside = labels[(labels < 0) | (labels >= self.class_count)]
+        if outside.size:
+            raise IndexError(f"label {outside[0]} out of range [0, {self.class_count})")
+        _check_unit(h_key=h, z_key=z)
+        if self._h is None:
+            self._h = np.zeros((self.class_count, self.queue_size, h.shape[1]))
+            self._z = np.zeros((self.class_count, self.queue_size, z.shape[1]))
+        elif (h.shape[1], z.shape[1]) != (self._h.shape[2], self._z.shape[2]):
+            raise ValueError(f"key dims {h.shape[1]}/{z.shape[1]} != queue dims {self._h.shape[2]}/{self._z.shape[2]}")
+        q = self.queue_size
+        for c in np.unique(labels).tolist():
+            rows = np.flatnonzero(labels == c)
+            total = int(self._fill[c]) + rows.size
+            keep = rows[-q:]  # earlier rows would be evicted within this call
+            slots = (self._head[c] + total - keep.size + np.arange(keep.size)) % q
+            self._h[c, slots] = h[keep]
+            self._z[c, slots] = z[keep]
+            self._head[c] = (self._head[c] + max(0, total - q)) % q
+            self._fill[c] = min(total, q)
 
-    def sample(self, keys_per_class: int, query_entry: KeyEntry, rng: np.random.Generator) -> KeyBatch:
-        """Draw keys_per_class keys from every non-empty class, query first.
-
-        Classes are visited in ascending index order and draws are made
-        with one ``rng.integers`` call per class, so a seeded generator
-        replays the exact same batch.
-        """
+    def sample(self, keys_per_class: int, h_query, z_query, labels, rng: np.random.Generator) -> KeyBatch:
+        """Draw keys_per_class keys from every non-empty class for each query."""
         if keys_per_class < 1:
             raise ValueError("keys_per_class must be >= 1")
         if len(self) == 0:
             raise EmptyPoolError("all class buffers are empty; warm the pool up first")
-        picked: list[KeyEntry] = []
-        for q in self._queues:
-            if not q:
-                continue
-            idx = rng.integers(0, len(q), size=keys_per_class)
-            picked.extend(q[int(i)] for i in idx)
-        return _make_batch(query_entry, picked)
+        classes = np.flatnonzero(self._fill)
+        picks = _draw(rng, len(labels), self._fill[classes].tolist(), keys_per_class)
+        b = picks.shape[0]
+        cls = np.broadcast_to(classes[None, :, None], picks.shape).reshape(b, -1)
+        slots = ((self._head[classes][None, :, None] + picks) % self.queue_size).reshape(b, -1)
+        return _with_queries((h_query, z_query, labels), self._h[cls, slots], self._z[cls, slots], cls)
 
 
 class MemoryBank:
@@ -133,9 +176,7 @@ class MemoryBank:
         self.m_bank = float(m_bank)
         self.h_snap: np.ndarray | None = None
         self.z_snap: np.ndarray | None = None
-        self._by_class: dict[int, np.ndarray] = {
-            int(c): np.flatnonzero(self.labels == c) for c in np.unique(self.labels)
-        }
+        self._members = [np.flatnonzero(self.labels == c) for c in np.unique(self.labels)]  # classes ascending
 
     def __len__(self) -> int:
         return 0 if self.h_snap is None else int(self.labels.shape[0])
@@ -144,83 +185,56 @@ class MemoryBank:
     def initialized(self) -> bool:
         return self.h_snap is not None
 
-    def initialize(self, h: np.ndarray, z: np.ndarray) -> None:
-        """Install the first full set of snapshots (one per example)."""
-        h = np.asarray(h, dtype=np.float64)
-        z = np.asarray(z, dtype=np.float64)
-        if h.shape[0] != self.labels.shape[0] or z.shape[0] != self.labels.shape[0]:
-            raise ValueError("snapshot row count must equal the number of examples")
-        self.h_snap = h / np.linalg.norm(h, axis=1, keepdims=True)
-        self.z_snap = z / np.linalg.norm(z, axis=1, keepdims=True)
-
-    def entry(self, example_id: int) -> KeyEntry:
-        if not self.initialized:
-            raise EmptyPoolError("memory bank has no snapshots; warm it up first")
-        i = int(example_id)
-        return KeyEntry(h_key=self.h_snap[i].copy(), z_key=self.z_snap[i].copy(), label=int(self.labels[i]))
-
-    def update(self, ids: np.ndarray, h_new: np.ndarray, z_new: np.ndarray) -> None:
-        """snapshot <- m*old + (1-m)*new per row, then back to unit norm."""
+    def _ids(self, ids) -> np.ndarray:
         if not self.initialized:
             raise EmptyPoolError("memory bank has no snapshots; warm it up first")
         idx = np.asarray(ids, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.labels.shape[0]):
             raise IndexError("example id out of range")
+        return idx
+
+    def initialize(self, h: np.ndarray, z: np.ndarray) -> None:
+        """Install the first full set of snapshots (one per example), scaled to unit rows."""
+        h, z = (np.asarray(a, dtype=np.float64) for a in (h, z))
+        if h.shape[0] != self.labels.shape[0] or z.shape[0] != self.labels.shape[0]:
+            raise ValueError("snapshot row count must equal the number of examples")
+        h, z = (a / np.linalg.norm(a, axis=1, keepdims=True) for a in (h, z))
+        _check_unit(h_snapshot=h, z_snapshot=z)
+        self.h_snap, self.z_snap = h, z
+
+    def entry(self, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of the given examples' snapshots, with their labels."""
+        idx = self._ids(ids)
+        return self.h_snap[idx], self.z_snap[idx], self.labels[idx]
+
+    def update(self, ids: np.ndarray, h_new: np.ndarray, z_new: np.ndarray) -> None:
+        """snapshot <- m*old + (1-m)*new per row, then back to unit norm."""
+        idx = self._ids(ids)
+        h_new, z_new, _ = _key_rows(h_new, z_new, idx.reshape(-1))
+        _check_unit(h_new=h_new, z_new=z_new)
         m = self.m_bank
-        for snap, new in ((self.h_snap, np.asarray(h_new, dtype=np.float64)),
-                          (self.z_snap, np.asarray(z_new, dtype=np.float64))):
+        for snap, new in ((self.h_snap, h_new), (self.z_snap, z_new)):
             mixed = m * snap[idx] + (1.0 - m) * new
             snap[idx] = mixed / np.linalg.norm(mixed, axis=1, keepdims=True)
 
     def sample(
-        self,
-        count_per_class: int,
-        query_entry: KeyEntry,
-        rng: np.random.Generator,
-        uniform: bool = False,
+        self, count_per_class: int, h_query, z_query, labels, rng: np.random.Generator, uniform: bool = False
     ) -> KeyBatch:
         """Same contract as MocoQueues.sample, drawing from the snapshots.
 
         ``uniform=True`` switches from balanced per-class draws to global
-        uniform draws over all snapshots (same batch size either way).
+        uniform draws over all snapshots, one call per query (same batch
+        size either way).
         """
         if count_per_class < 1:
             raise ValueError("count_per_class must be >= 1")
         if not self.initialized:
             raise EmptyPoolError("memory bank has no snapshots; warm it up first")
+        members = self._members
         if uniform:
-            total = count_per_class * len(self._by_class)
-            idx = rng.integers(0, self.labels.shape[0], size=total)
+            picks = _draw(rng, len(labels), [self.labels.shape[0]], count_per_class * len(members))
+            idx = picks[:, 0]
         else:
-            parts = []
-            for c in sorted(self._by_class):
-                pool = self._by_class[c]
-                parts.append(pool[rng.integers(0, pool.shape[0], size=count_per_class)])
-            idx = np.concatenate(parts)
-        picked = [
-            KeyEntry(h_key=self.h_snap[int(i)].copy(), z_key=self.z_snap[int(i)].copy(), label=int(self.labels[int(i)]))
-            for i in idx
-        ]
-        return _make_batch(query_entry, picked)
-
-
-def enqueue(pool: MocoQueues, entries: list[KeyEntry]) -> None:
-    pool.enqueue(entries)
-
-
-def sample_keys(pool: MocoQueues, keys_per_class: int, query_entry: KeyEntry, rng: np.random.Generator) -> KeyBatch:
-    return pool.sample(keys_per_class, query_entry, rng)
-
-
-def bank_update(bank: MemoryBank, ids: np.ndarray, h_q_norm: np.ndarray, z_q: np.ndarray) -> None:
-    bank.update(ids, h_q_norm, z_q)
-
-
-def bank_sample(
-    bank: MemoryBank,
-    count_per_class: int,
-    query_entry: KeyEntry,
-    rng: np.random.Generator,
-    uniform: bool = False,
-) -> KeyBatch:
-    return bank.sample(count_per_class, query_entry, rng, uniform=uniform)
+            picks = _draw(rng, len(labels), [m.shape[0] for m in members], count_per_class)
+            idx = np.stack([m[picks[:, j]] for j, m in enumerate(members)], axis=1).reshape(picks.shape[0], -1)
+        return _with_queries((h_query, z_query, labels), self.h_snap[idx], self.z_snap[idx], self.labels[idx])

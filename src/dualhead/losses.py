@@ -21,8 +21,10 @@ softmax followed by negative log-probabilities of designated positives.
 
 Batch reduction is a plain sum by default; "mean" divides every term by
 the batch size so the three terms stay mutually comparable either way.
-All keys enter as grad-disabled tensors: gradients flow to the live
-features and prototypes only.
+Keys arrive as one ``KeyBatch`` for the whole batch, and each
+contrastive loss builds one (B x (K+1)) similarity matrix from it with
+``ndgrad.row_dot_slab``. Keys are constant arrays: gradients flow to the
+live features and prototypes only.
 """
 
 from __future__ import annotations
@@ -86,6 +88,22 @@ def _reduce(loss: Tensor, reduction: str, batch: int) -> Tensor:
     return loss
 
 
+def _masked_nll(logp: Tensor, mask: np.ndarray) -> Tensor:
+    """-sum(logp * mask): the negative log-probabilities the mask selects, weighted."""
+    return nd.scale_by_scalar(nd.sum(nd.mul(logp, Tensor(mask))), -1.0)
+
+
+def _check_keys(keys: KeyBatch, labels: np.ndarray, b: int, rows: np.ndarray, dim: int, what: str) -> None:
+    if keys.labels.shape[0] != b or labels.shape[0] != b:
+        raise nd.ShapeError(f"need one key row and label per query ({b}), got {keys.labels.shape[0]}/{labels.shape[0]}")
+    bad = np.flatnonzero(keys.labels[:, 0] != labels)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"query {i}: slot-0 label {keys.labels[i, 0]} != query label {labels[i]}")
+    if rows.shape[2] != dim:
+        raise nd.ShapeError(f"key dim {rows.shape[2]} != {what} dim {dim}")
+
+
 def ce(logits: Tensor, labels: np.ndarray, reduction: str = "sum") -> Tensor:
     """Cross-entropy over class logits, summed over the batch."""
     b, c = logits.shape
@@ -94,83 +112,67 @@ def ce(logits: Tensor, labels: np.ndarray, reduction: str = "sum") -> Tensor:
         raise nd.ShapeError(f"{labels.shape[0]} labels for batch of {b}")
     onehot = np.zeros((b, c))
     onehot[np.arange(b), labels] = 1.0
-    picked = nd.sum(nd.mul(nd.log_softmax_row(logits), Tensor(onehot)))
-    return _reduce(nd.scale_by_scalar(picked, -1.0), reduction, b)
+    return _reduce(_masked_nll(nd.log_softmax_row(logits), onehot), reduction, b)
 
 
 def info_nce(q: Tensor, keys: KeyBatch, positive_index: int, tau: float) -> Tensor:
-    """One-positive contrastive loss of a unit query against K+1 unit keys."""
+    """One-positive contrastive loss of unit queries against their K+1 unit keys."""
     tau = _check_tau(tau)
-    if q.data.ndim != 2 or q.shape[0] != 1:
-        raise nd.ShapeError(f"query must be a (1 x L) row, got {q.shape}")
+    if q.data.ndim != 2 or q.shape[0] != keys.labels.shape[0]:
+        raise nd.ShapeError(f"need one query row per key row ({keys.labels.shape[0]}), got {q.shape}")
     n = keys.size + 1
     if not 0 <= positive_index < n:
         raise IndexError(f"positive_index {positive_index} out of range [0, {n})")
-    sims = nd.scale_by_scalar(nd.matmul(q, nd.transpose(keys.z_keys)), 1.0 / tau)
-    mask = np.zeros((1, n))
-    mask[0, positive_index] = 1.0
-    return nd.scale_by_scalar(nd.sum(nd.mul(nd.log_softmax_row(sims), Tensor(mask))), -1.0)
-
-
-def _bank_with_live_slot0(h_query_row: Tensor, keys: KeyBatch) -> Tensor:
-    """Key bank for cce: the query's live feature in slot 0, sampled keys after."""
-    if keys.size == 0:
-        return h_query_row
-    rest = nd.select_rows(keys.h_keys, np.arange(1, keys.size + 1))
-    return nd.concat_rows([h_query_row, rest])
+    sims = nd.scale_by_scalar(nd.row_dot_slab(q, keys.z_keys), 1.0 / tau)
+    mask = np.zeros((q.shape[0], n))
+    mask[:, positive_index] = 1.0
+    return _masked_nll(nd.log_softmax_row(sims), mask)
 
 
 def cce(
     h_q_norm: Tensor,
     labels: np.ndarray,
     W: Tensor,
-    keys: list[KeyBatch],
+    keys: KeyBatch,
     tau: float,
     variant: str = "literal",
     reduction: str = "sum",
 ) -> Tensor:
     """Classifier-head contrastive loss along the key-bank dimension.
 
-    For each query the class prototype w_{y_i} is scored against the K+1
-    bank rows; the resulting log-ratio of slot 0 is weighted by the size
-    of the positive set ("literal"), or replaced by one log-probability
-    per positive bank slot ("per_key").
+    Prototypes w_{y_i} meet the key slab (slot 0 zeroed) in one (B x (K+1))
+    matrix; the rank-1 term (proto * h) @ E0, E0 being ones in column 0 only,
+    puts the live slot-0 similarity back on the tape. "literal" weights the
+    slot-0 log-ratio by |S_i|, "per_key" takes one per positive slot: the
+    variants differ only in their mask.
     """
     tau = _check_tau(tau)
     if variant not in CCE_VARIANTS:
         raise ValueError(f"variant must be one of {CCE_VARIANTS}, got {variant!r}")
     b, d = h_q_norm.shape
-    c = W.shape[0]
-    labels = _check_labels(labels, c)
-    if len(keys) != b or labels.shape[0] != b:
-        raise nd.ShapeError(f"need one key batch and label per query ({b}), got {len(keys)}/{labels.shape[0]}")
-    total: Tensor | None = None
-    for i in range(b):
-        kb = keys[i]
-        y = int(labels[i])
-        if int(kb.labels[0]) != y:
-            raise ValueError(f"key batch {i}: slot-0 label {kb.labels[0]} != query label {y}")
-        if kb.h_keys.shape[1] != d:
-            raise nd.ShapeError(f"key batch {i}: key dim {kb.h_keys.shape[1]} != feature dim {d}")
-        bank = _bank_with_live_slot0(nd.select_rows(h_q_norm, [i]), kb)
-        proto = nd.select_rows(W, [y])
-        sims = nd.scale_by_scalar(nd.matmul(proto, nd.transpose(bank)), 1.0 / tau)
-        logp = nd.log_softmax_row(sims)
-        positives = kb.positive_mask(y)
-        if variant == "literal":
-            mask = np.zeros((1, kb.size + 1))
-            mask[0, 0] = 1.0
-            term = nd.scale_by_scalar(nd.sum(nd.mul(logp, Tensor(mask))), -float(positives.sum()))
-        else:
-            term = nd.scale_by_scalar(nd.sum(nd.mul(logp, Tensor(positives[None, :].astype(float)))), -1.0)
-        total = term if total is None else nd.add(total, term)
-    return _reduce(total, reduction, b)
+    labels = _check_labels(labels, W.shape[0])
+    _check_keys(keys, labels, b, keys.h_keys, d, "feature")
+    n = keys.size + 1
+    proto = nd.select_rows(W, labels)
+    bank = keys.h_keys.copy()
+    bank[:, 0] = 0.0
+    e0 = np.zeros((d, n))
+    e0[:, 0] = 1.0
+    slot0 = nd.matmul(nd.mul(proto, h_q_norm), Tensor(e0))
+    sims = nd.scale_by_scalar(nd.add(nd.row_dot_slab(proto, bank), slot0), 1.0 / tau)
+    positives = keys.positive_mask(labels)
+    if variant == "literal":
+        mask = np.zeros((b, n))
+        mask[:, 0] = positives.sum(axis=1)
+    else:
+        mask = positives.astype(float)
+    return _reduce(_masked_nll(nd.log_softmax_row(sims), mask), reduction, b)
 
 
 def ccl(
     z_q: Tensor,
     labels: np.ndarray,
-    keys: list[KeyBatch],
+    keys: KeyBatch,
     tau: float,
     reduction: str = "sum",
 ) -> Tensor:
@@ -178,23 +180,9 @@ def ccl(
     tau = _check_tau(tau)
     b, L = z_q.shape
     labels = np.asarray(labels, dtype=np.int64)
-    if len(keys) != b or labels.shape[0] != b:
-        raise nd.ShapeError(f"need one key batch and label per query ({b}), got {len(keys)}/{labels.shape[0]}")
-    total: Tensor | None = None
-    for i in range(b):
-        kb = keys[i]
-        y = int(labels[i])
-        if int(kb.labels[0]) != y:
-            raise ValueError(f"key batch {i}: slot-0 label {kb.labels[0]} != query label {y}")
-        if kb.z_keys.shape[1] != L:
-            raise nd.ShapeError(f"key batch {i}: key dim {kb.z_keys.shape[1]} != projection dim {L}")
-        q = nd.select_rows(z_q, [i])
-        sims = nd.scale_by_scalar(nd.matmul(q, nd.transpose(kb.z_keys)), 1.0 / tau)
-        logp = nd.log_softmax_row(sims)
-        mask = kb.positive_mask(y)[None, :].astype(float)
-        term = nd.scale_by_scalar(nd.sum(nd.mul(logp, Tensor(mask))), -1.0)
-        total = term if total is None else nd.add(total, term)
-    return _reduce(total, reduction, b)
+    _check_keys(keys, labels, b, keys.z_keys, L, "projection")
+    sims = nd.scale_by_scalar(nd.row_dot_slab(z_q, keys.z_keys), 1.0 / tau)
+    return _reduce(_masked_nll(nd.log_softmax_row(sims), keys.positive_mask(labels).astype(float)), reduction, b)
 
 
 def joint_total(terms: LossTerms) -> Tensor:

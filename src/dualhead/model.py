@@ -108,6 +108,16 @@ def _encode(layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
     return h
 
 
+def _features_and_logits(params: ModelParams, x: Tensor) -> tuple[Tensor, Tensor]:
+    if x.data.ndim != 2 or x.shape[1] != params.dims.in_dim:
+        raise ShapeError(f"expected input (b x {params.dims.in_dim}), got {x.shape}")
+    h = _encode(params.encoder_layers, x)
+    logits = nd.matmul(h, nd.transpose(params.classifier_W))
+    if params.classifier_b is not None:
+        logits = nd.add(logits, params.classifier_b)
+    return h, logits
+
+
 def forward_query(params: ModelParams, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     """Live forward pass: features h, unit projection z, class logits.
 
@@ -115,25 +125,14 @@ def forward_query(params: ModelParams, x: Tensor) -> tuple[Tensor, Tensor, Tenso
     projector output scaled to the unit sphere. Everything stays on the
     gradient tape.
     """
-    if x.data.ndim != 2 or x.shape[1] != params.dims.in_dim:
-        raise ShapeError(f"expected input (b x {params.dims.in_dim}), got {x.shape}")
-    h = _encode(params.encoder_layers, x)
+    h, logits = _features_and_logits(params, x)
     z = nd.row_l2_normalize(nd.add(nd.matmul(h, params.projector_w), params.projector_b))
-    logits = nd.matmul(h, nd.transpose(params.classifier_W))
-    if params.classifier_b is not None:
-        logits = nd.add(logits, params.classifier_b)
     return h, z, logits
 
 
 def forward_logits(params: ModelParams, x: Tensor) -> Tensor:
     """Deployment path: features to logits, skipping the projector."""
-    if x.data.ndim != 2 or x.shape[1] != params.dims.in_dim:
-        raise ShapeError(f"expected input (b x {params.dims.in_dim}), got {x.shape}")
-    h = _encode(params.encoder_layers, x)
-    logits = nd.matmul(h, nd.transpose(params.classifier_W))
-    if params.classifier_b is not None:
-        logits = nd.add(logits, params.classifier_b)
-    return logits
+    return _features_and_logits(params, x)[1]
 
 
 def forward_key(twin: MomentumTwin, x: Tensor) -> tuple[Tensor, Tensor]:

@@ -260,6 +260,18 @@ def select_rows(a: Tensor, indices) -> Tensor:
     return _from_op(a.data[idx].copy(), "select_rows", (a,), backward)
 
 
+def row_dot_slab(a: Tensor, slab: np.ndarray) -> Tensor:
+    """out[b, n] = a[b] . slab[b, n]: each live row against its own constant (B x N x d) slab."""
+    slab = np.asarray(slab, dtype=np.float64)
+    if a.data.ndim != 2 or slab.ndim != 3 or slab.shape[0] != a.shape[0] or slab.shape[2] != a.shape[1]:
+        raise ShapeError(f"row_dot_slab needs (B x d) rows and a (B x N x d) slab, got {a.shape} and {slab.shape}")
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(a, np.einsum("bn,bnd->bd", g, slab))
+
+    return _from_op(np.einsum("bd,bnd->bn", a.data, slab), "row_dot_slab", (a,), backward)
+
+
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     """Stack 2-D tensors vertically."""
     if not parts:

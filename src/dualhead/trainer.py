@@ -4,7 +4,7 @@ One training step runs a fixed pipeline:
 
 1. live forward pass (features, projection, logits);
 2. key forward pass for the same batch through the momentum twin;
-3. per-query key-batch sampling, slot 0 = the query's own key;
+3. one batched key draw for all queries, slot 0 = each query's own key;
 4. enabled losses, backward, SGD-with-momentum update (weight decay
    folded into the gradient, boosted learning rate for the heads);
 5. momentum update of the twin (after the optimizer step, so keys always
@@ -36,7 +36,7 @@ from . import losses as losses_mod
 from . import model as model_mod
 from . import ndgrad as nd
 from .config import RunConfig
-from .keypool import EmptyPoolError, KeyEntry, MemoryBank, MocoQueues
+from .keypool import EmptyPoolError, MemoryBank, MocoQueues
 from .model import ModelDims, ModelParams, MomentumTwin
 from .ndgrad import NonFiniteError, Tensor
 
@@ -144,13 +144,6 @@ def _row_normalize_np(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def _key_entries(h_norm: np.ndarray, z: np.ndarray, labels: np.ndarray) -> list[KeyEntry]:
-    return [
-        KeyEntry(h_key=h_norm[i].copy(), z_key=z[i].copy(), label=int(labels[i]))
-        for i in range(labels.shape[0])
-    ]
-
-
 def step(
     params: ModelParams,
     twin: MomentumTwin,
@@ -169,22 +162,17 @@ def step(
     x = Tensor(x_np)
     h_q, z_q, logits = model_mod.forward_query(params, x)
 
-    key_batches = None
+    keys = None
     h_k = z_k = None
     if contrastive:
         if len(pool) == 0:
             raise EmptyPoolError("contrastive terms enabled but the key pool is empty; run warmup first")
         if bank_mode:
-            queries = [pool.entry(int(i)) for i in ids]
-            key_batches = [
-                pool.sample(cfg.keys.keys_per_class, q, rng, uniform=cfg.keys.bank_uniform)
-                for q in queries
-            ]
+            keys = pool.sample(cfg.keys.keys_per_class, *pool.entry(ids), rng, uniform=cfg.keys.bank_uniform)
         else:
             h_k_t, z_k_t = model_mod.forward_key(twin, x)
             h_k, z_k = h_k_t.data, z_k_t.data
-            queries = _key_entries(h_k, z_k, y)
-            key_batches = [pool.sample(cfg.keys.keys_per_class, q, rng) for q in queries]
+            keys = pool.sample(cfg.keys.keys_per_class, h_k, z_k, y, rng)
 
     terms = losses_mod.LossTerms(weights=(w_ce, w_cce, w_ccl))
     if w_ce != 0.0:
@@ -192,11 +180,11 @@ def step(
     if w_cce != 0.0:
         h_q_norm = nd.row_l2_normalize(h_q)
         terms.cce = losses_mod.cce(
-            h_q_norm, y, params.classifier_W, key_batches, cfg.losses.tau,
+            h_q_norm, y, params.classifier_W, keys, cfg.losses.tau,
             variant=cfg.losses.cce_variant, reduction=cfg.losses.reduction,
         )
     if w_ccl != 0.0:
-        terms.ccl = losses_mod.ccl(z_q, y, key_batches, cfg.losses.tau, reduction=cfg.losses.reduction)
+        terms.ccl = losses_mod.ccl(z_q, y, keys, cfg.losses.tau, reduction=cfg.losses.reduction)
 
     total = losses_mod.joint_total(terms)
     total.backward()
@@ -207,7 +195,7 @@ def step(
             pool.update(ids, _row_normalize_np(h_q.data), z_q.data)
         else:
             model_mod.momentum_update(twin, params)
-            pool.enqueue(_key_entries(h_k, z_k, y))
+            pool.enqueue(h_k, z_k, y)
     return terms
 
 
@@ -226,17 +214,11 @@ def warmup(
     """
     if len(ds) == 0:
         raise data_mod.DataError("cannot warm up from an empty dataset")
-    if isinstance(pool, MemoryBank):
-        _init_bank_snapshots(twin, pool, ds)
-        return
-    selected: list[np.ndarray] = []
-    for c in range(ds.class_count):
-        idx = np.flatnonzero(ds.labels == c)
-        if idx.size:
-            selected.append(idx[-pool.queue_size:])
-    order = np.sort(np.concatenate(selected))
-    h_t, z_t = model_mod.forward_key(twin, Tensor(ds.features[order]))
-    pool.enqueue(_key_entries(h_t.data, z_t.data, ds.labels[order]))
+    order = np.arange(0)
+    if isinstance(pool, MocoQueues):
+        newest = [np.flatnonzero(ds.labels == c)[-pool.queue_size:] for c in range(ds.class_count)]
+        order = np.sort(np.concatenate(newest))
+    _fill_through_twin(twin, pool, ds, ds.features[order], ds.labels[order])
 
 
 def evaluate(params: ModelParams, ds: data_mod.Dataset) -> float:
@@ -338,7 +320,7 @@ def fit(cfg: RunConfig) -> TrainRun:
         idx = batcher.next()
         batch = (train.features[idx], train.labels[idx], train.example_ids[idx])
         if contrastive and cfg.keys.warmup_mode == "defer" and len(pool) == 0:
-            _fill_pool_from_batch(twin, pool, batch, train, cfg)
+            _fill_through_twin(twin, pool, train, batch[0], batch[1])  # the first contrastive step seeds the pool
         terms = step(params, twin, pool, batch, opt, cfg, sample_rng)
 
         due_log = it % cfg.log_every == 0
@@ -366,23 +348,18 @@ def fit(cfg: RunConfig) -> TrainRun:
     )
 
 
-def _init_bank_snapshots(twin: MomentumTwin, pool: MemoryBank, ds: data_mod.Dataset) -> None:
+def _fill_through_twin(twin: MomentumTwin, pool, ds: data_mod.Dataset, x: np.ndarray, y: np.ndarray) -> None:
+    """Key forward into the pool: a snapshot of every example of ds (bank), or the rows x (queues)."""
+    if isinstance(pool, MocoQueues):
+        h_t, z_t = model_mod.forward_key(twin, Tensor(x))
+        pool.enqueue(h_t.data, z_t.data, y)
+        return
     h_parts, z_parts = [], []
     for lo in range(0, len(ds), 256):
         h_t, z_t = model_mod.forward_key(twin, Tensor(ds.features[lo:lo + 256]))
         h_parts.append(h_t.data)
         z_parts.append(z_t.data)
     pool.initialize(np.vstack(h_parts), np.vstack(z_parts))
-
-
-def _fill_pool_from_batch(twin, pool, batch, train, cfg) -> None:
-    """Deferred warm-up: the first contrastive step seeds the pool itself."""
-    x_np, y, _ = batch
-    if isinstance(pool, MemoryBank):
-        _init_bank_snapshots(twin, pool, train)
-        return
-    h_t, z_t = model_mod.forward_key(twin, Tensor(x_np))
-    pool.enqueue(_key_entries(h_t.data, z_t.data, y))
 
 
 def _fmt(x: float | None) -> str:

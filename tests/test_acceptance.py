@@ -16,7 +16,7 @@ import dualhead.trainer as trainer_mod
 from dualhead.cli import main
 from dualhead.config import RunConfig, validate_config
 from dualhead.gradcheck import run_gradcheck
-from dualhead.keypool import KeyBatch, KeyEntry, MemoryBank, MocoQueues
+from dualhead.keypool import KeyBatch, MemoryBank, MocoQueues
 from dualhead.losses import ccl, ce, cce, info_nce
 from dualhead.model import ModelDims, init_params, init_twin, momentum_update
 from dualhead.ndgrad import Tensor
@@ -28,7 +28,12 @@ def unit_rows(rng, n, d):
 
 
 def make_batch(h_rows, z_rows, labels):
-    return KeyBatch(h_keys=Tensor(h_rows), z_keys=Tensor(z_rows), labels=np.asarray(labels, dtype=np.int64))
+    """The keys of one query: a KeyBatch with B = 1."""
+    return KeyBatch(
+        h_keys=np.asarray(h_rows, dtype=float)[None],
+        z_keys=np.asarray(z_rows, dtype=float)[None],
+        labels=np.asarray(labels, dtype=np.int64)[None],
+    )
 
 
 def np_log_softmax(row):
@@ -116,7 +121,7 @@ def test_criterion_2_closed_form_identities():
     labels = np.array([0, 1, 2, 1, 2])
     zb = make_batch(unit_rows(rng, 5, 3), keys, labels)
     z = unit_rows(rng, 1, 4)
-    lhs = ccl(Tensor(z), np.array([0]), [zb], 0.07).item()
+    lhs = ccl(Tensor(z), np.array([0]), zb, 0.07).item()
     rhs = info_nce(Tensor(z), zb, 0, 0.07).item()
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
@@ -126,8 +131,8 @@ def test_criterion_2_closed_form_identities():
     W = rng.normal(size=(3, d))
     kb_labels = np.array([1, 1, 0, 1, 2, 0, 1])
     hb = make_batch(np.vstack([h, unit_rows(rng, k, d)]), unit_rows(rng, k + 1, 3), kb_labels)
-    got = cce(Tensor(h), np.array([1]), Tensor(W), [hb], 0.07).item()
-    bank = np.vstack([h, hb.h_keys.data[1:]])
+    got = cce(Tensor(h), np.array([1]), Tensor(W), hb, 0.07).item()
+    bank = np.vstack([h, hb.h_keys[0, 1:]])
     term = -np_log_softmax((bank @ W[1]) / 0.07)[0]
     expect = int((kb_labels == 1).sum()) * term
     assert abs(got - expect) <= 1e-12 * max(1.0, abs(expect))
@@ -140,9 +145,9 @@ def test_criterion_2_closed_form_identities():
     big = make_batch(unit_rows(rng, 6, 4), unit_rows(rng, 6, 4), lab6)
     n_pos = int((lab6 == 0).sum())
     assert abs(info_nce(Tensor(q01), big, 0, tau_inf).item() - math.log(6)) <= 1e-6
-    assert abs(ccl(Tensor(q01), np.array([0]), [big], tau_inf).item() - n_pos * math.log(6)) <= 1e-6
+    assert abs(ccl(Tensor(q01), np.array([0]), big, tau_inf).item() - n_pos * math.log(6)) <= 1e-6
     w01 = 0.1 * unit_rows(rng, 3, 4)
-    assert abs(cce(Tensor(q01), np.array([0]), Tensor(w01), [big], tau_inf).item() - n_pos * math.log(6)) <= 1e-6
+    assert abs(cce(Tensor(q01), np.array([0]), Tensor(w01), big, tau_inf).item() - n_pos * math.log(6)) <= 1e-6
 
     print("\n[criterion 2] closed-form identities: PASS")
 
@@ -174,7 +179,7 @@ def test_criterion_3_update_rule_algebra():
         label = int(rng.integers(3))
         vec_h = unit_rows(rng, 1, 4)[0]
         vec_z = unit_rows(rng, 1, 3)[0]
-        pool.enqueue([KeyEntry(vec_h, vec_z, label)])
+        pool.enqueue(vec_h[None], vec_z[None], [label])
         history.append((label, vec_h))
         for c in range(3):
             expect = [h for (lab, h) in history if lab == c][-4:]

@@ -1,0 +1,149 @@
+"""The batched contrastive losses against the per-query loop they replace.
+
+``loop_cce`` and ``loop_ccl`` are the earlier implementation, kept here
+as a reference oracle: one small graph per query, with the query's live
+feature concatenated into slot 0 of its bank. On the gradcheck loss
+fixtures the batched (B x (K+1)) losses must match them in value and in
+every parameter gradient.
+"""
+
+import numpy as np
+import pytest
+
+import dualhead.model as model_mod
+import dualhead.ndgrad as nd
+from dualhead.gradcheck import _loss_fixture
+from dualhead.keypool import KeyBatch
+from dualhead.losses import CCE_VARIANTS, REDUCTIONS, _check_labels, _check_tau, _reduce, ccl, cce
+from dualhead.ndgrad import Tensor
+
+MATCH_TOL = 1e-12
+
+
+def loop_cce(h_q_norm, labels, W, keys, tau, variant="literal", reduction="sum"):
+    """Per-query classifier-head loss: prototype against [live h_i; sampled keys]."""
+    tau = _check_tau(tau)
+    b, _ = h_q_norm.shape
+    labels = _check_labels(labels, W.shape[0])
+    total = None
+    for i in range(b):
+        y = int(labels[i])
+        assert int(keys.labels[i, 0]) == y
+        bank = nd.select_rows(h_q_norm, [i])
+        if keys.size:
+            bank = nd.concat_rows([bank, Tensor(keys.h_keys[i, 1:])])
+        proto = nd.select_rows(W, [y])
+        sims = nd.scale_by_scalar(nd.matmul(proto, nd.transpose(bank)), 1.0 / tau)
+        logp = nd.log_softmax_row(sims)
+        positives = keys.labels[i] == y
+        if variant == "literal":
+            mask = np.zeros((1, keys.size + 1))
+            mask[0, 0] = 1.0
+            term = nd.scale_by_scalar(nd.sum(nd.mul(logp, Tensor(mask))), -float(positives.sum()))
+        else:
+            term = nd.scale_by_scalar(nd.sum(nd.mul(logp, Tensor(positives[None, :].astype(float)))), -1.0)
+        total = term if total is None else nd.add(total, term)
+    return _reduce(total, reduction, b)
+
+
+def loop_ccl(z_q, labels, keys, tau, reduction="sum"):
+    """Per-query projector-head loss with every same-class key positive."""
+    tau = _check_tau(tau)
+    b, _ = z_q.shape
+    labels = np.asarray(labels, dtype=np.int64)
+    total = None
+    for i in range(b):
+        y = int(labels[i])
+        assert int(keys.labels[i, 0]) == y
+        q = nd.select_rows(z_q, [i])
+        sims = nd.scale_by_scalar(nd.matmul(q, nd.transpose(Tensor(keys.z_keys[i]))), 1.0 / tau)
+        logp = nd.log_softmax_row(sims)
+        mask = (keys.labels[i] == y)[None, :].astype(float)
+        term = nd.scale_by_scalar(nd.sum(nd.mul(logp, Tensor(mask))), -1.0)
+        total = term if total is None else nd.add(total, term)
+    return _reduce(total, reduction, b)
+
+
+LOSSES = [("cce", v) for v in CCE_VARIANTS] + [("ccl", None)]
+
+
+def value_and_grads(params, x, y, keys, tau, loss, variant, reduction, batched):
+    h, z, _ = model_mod.forward_query(params, x)
+    if loss == "cce":
+        fn = cce if batched else loop_cce
+        out = fn(nd.row_l2_normalize(h), y, params.classifier_W, keys, tau, variant=variant, reduction=reduction)
+    else:
+        fn = ccl if batched else loop_ccl
+        out = fn(z, y, keys, tau, reduction=reduction)
+    out.backward()
+    grads = {}
+    for name, t in params.named_parameters():
+        grads[name] = np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+        t.zero_grad()
+    return out.item(), grads
+
+
+@pytest.mark.parametrize("reduction", REDUCTIONS)
+@pytest.mark.parametrize("loss, variant", LOSSES)
+def test_batched_matches_loop_on_gradcheck_fixtures(loss, variant, reduction):
+    for seed in range(20):
+        params, x, y, keys, tau, _ = _loss_fixture(np.random.default_rng(seed))
+        got, got_grads = value_and_grads(params, x, y, keys, tau, loss, variant, reduction, batched=True)
+        want, want_grads = value_and_grads(params, x, y, keys, tau, loss, variant, reduction, batched=False)
+        assert abs(got - want) <= MATCH_TOL * max(1.0, abs(want)), (seed, got, want)
+        for name, g in want_grads.items():
+            scale = max(1.0, float(np.abs(g).max()))
+            assert np.abs(got_grads[name] - g).max() <= MATCH_TOL * scale, (seed, name)
+
+
+def test_batched_matches_loop_on_a_training_sized_batch():
+    # B = 16 queries with K = 6 keys each, duplicate and missing classes included.
+    rng = np.random.default_rng(3)
+    b, k, d, L, c = 16, 6, 8, 5, 4
+    y = rng.integers(0, c, size=b)
+    h = rng.normal(size=(b, k + 1, d))
+    z = rng.normal(size=(b, k + 1, L))
+    keys = KeyBatch(
+        h_keys=h / np.linalg.norm(h, axis=2, keepdims=True),
+        z_keys=z / np.linalg.norm(z, axis=2, keepdims=True),
+        labels=np.concatenate([y[:, None], rng.integers(0, c - 1, size=(b, k))], axis=1),
+    )
+    h_q = nd.row_l2_normalize(Tensor(rng.normal(size=(b, d))))
+    z_q = nd.row_l2_normalize(Tensor(rng.normal(size=(b, L))))
+    W = Tensor(rng.normal(size=(c, d)))
+    for variant in CCE_VARIANTS:
+        got = cce(h_q, y, W, keys, 0.07, variant=variant).item()
+        want = loop_cce(h_q, y, W, keys, 0.07, variant=variant).item()
+        assert abs(got - want) <= MATCH_TOL * max(1.0, abs(want))
+    got, want = ccl(z_q, y, keys, 0.07).item(), loop_ccl(z_q, y, keys, 0.07).item()
+    assert abs(got - want) <= MATCH_TOL * max(1.0, abs(want))
+
+
+class TestKeyChecks:
+    def fixture(self):
+        params, x, y, keys, tau, _ = _loss_fixture(np.random.default_rng(0))
+        h, z, _ = model_mod.forward_query(params, x)
+        return nd.row_l2_normalize(h), z, y, params.classifier_W, keys, tau
+
+    def test_slot0_label_mismatch_is_a_value_error(self):
+        h, z, y, W, keys, tau = self.fixture()
+        keys.labels[1, 0] = (keys.labels[1, 0] + 1) % W.shape[0]
+        with pytest.raises(ValueError, match="slot-0 label"):
+            cce(h, y, W, keys, tau)
+        with pytest.raises(ValueError, match="slot-0 label"):
+            ccl(z, y, keys, tau)
+
+    def test_key_dim_mismatch_is_a_shape_error(self):
+        h, z, y, W, keys, tau = self.fixture()
+        with pytest.raises(nd.ShapeError):
+            cce(h, y, W, KeyBatch(keys.h_keys[:, :, 1:], keys.z_keys, keys.labels), tau)
+        with pytest.raises(nd.ShapeError):
+            ccl(z, y, KeyBatch(keys.h_keys, keys.z_keys[:, :, 1:], keys.labels), tau)
+
+    def test_query_count_mismatch_is_a_shape_error(self):
+        h, z, y, W, keys, tau = self.fixture()
+        one = KeyBatch(keys.h_keys[:1], keys.z_keys[:1], keys.labels[:1])
+        with pytest.raises(nd.ShapeError):
+            cce(h, y, W, one, tau)
+        with pytest.raises(nd.ShapeError):
+            ccl(z, y, one, tau)

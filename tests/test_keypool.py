@@ -8,10 +8,6 @@ from dualhead.keypool import (
     KeyEntry,
     MemoryBank,
     MocoQueues,
-    bank_sample,
-    bank_update,
-    enqueue,
-    sample_keys,
 )
 
 
@@ -34,6 +30,15 @@ def entry(label, d=3, L=2, seed=None, tag=0.0):
     return KeyEntry(h_key=unit(rng.normal(size=d)), z_key=unit(rng.normal(size=L)), label=label)
 
 
+def rows(entries):
+    """(h, z, labels) arrays holding the given entries in order."""
+    return (
+        np.array([e.h_key for e in entries]),
+        np.array([e.z_key for e in entries]),
+        np.array([e.label for e in entries], dtype=np.int64),
+    )
+
+
 class TestKeyEntry:
     def test_requires_unit_norm(self):
         with pytest.raises(ValueError):
@@ -48,7 +53,7 @@ class TestMocoQueues:
     def test_fifo_eviction(self):
         pool = MocoQueues(class_count=1, queue_size=2)
         a, b, c = (entry(0, seed=s) for s in (1, 2, 3))
-        enqueue(pool, [a, b, c])
+        pool.enqueue(*rows([a, b, c]))
         kept = pool.entries(0)
         assert len(kept) == 2
         np.testing.assert_array_equal(kept[0].h_key, b.h_key)
@@ -56,7 +61,7 @@ class TestMocoQueues:
 
     def test_push_to_empty(self):
         pool = MocoQueues(class_count=2, queue_size=4)
-        enqueue(pool, [entry(1, seed=0)])
+        pool.enqueue(*rows([entry(1, seed=0)]))
         assert pool.class_sizes() == [0, 1]
 
     def test_interleaved_routing_label_audit(self):
@@ -64,7 +69,7 @@ class TestMocoQueues:
         pool = MocoQueues(class_count=3, queue_size=8)
         rng = np.random.default_rng(42)
         pushed = [entry(int(rng.integers(3)), seed=i) for i in range(30)]
-        enqueue(pool, pushed)
+        pool.enqueue(*rows(pushed))
         for c in range(3):
             expect = [e for e in pushed if e.label == c][-8:]
             got = pool.entries(c)
@@ -73,54 +78,86 @@ class TestMocoQueues:
             for e_got, e_want in zip(got, expect):
                 np.testing.assert_array_equal(e_got.h_key, e_want.h_key)
 
+    @pytest.mark.parametrize("chunk", [1, 3, 5, 30])
+    def test_ring_wraps_like_a_fifo_for_any_chunking(self, chunk):
+        # The same 30 keys pushed in chunks of any size leave every class
+        # buffer holding that class's newest 4 keys, oldest first.
+        rng = np.random.default_rng(7)
+        pushed = [entry(int(rng.integers(2)), seed=100 + i) for i in range(30)]
+        pool = MocoQueues(class_count=2, queue_size=4)
+        for lo in range(0, len(pushed), chunk):
+            pool.enqueue(*rows(pushed[lo:lo + chunk]))
+        for c in range(2):
+            expect = [e.z_key for e in pushed if e.label == c][-4:]
+            np.testing.assert_array_equal([e.z_key for e in pool.entries(c)], expect)
+
     def test_label_out_of_range(self):
         pool = MocoQueues(class_count=2, queue_size=2)
         with pytest.raises(IndexError):
-            enqueue(pool, [entry(5, seed=0)])
+            pool.enqueue(*rows([entry(5, seed=0)]))
 
     def test_forced_replacement_single_entry(self):
         pool = MocoQueues(class_count=1, queue_size=4)
         e = entry(0, seed=7)
-        enqueue(pool, [e])
+        pool.enqueue(*rows([e]))
         q = entry(0, seed=8)
-        batch = sample_keys(pool, keys_per_class=2, query_entry=q, rng=np.random.default_rng(0))
-        assert batch.labels.tolist() == [0, 0, 0]
-        np.testing.assert_array_equal(batch.h_keys.data[0], q.h_key)
-        np.testing.assert_array_equal(batch.h_keys.data[1], e.h_key)
-        np.testing.assert_array_equal(batch.h_keys.data[2], e.h_key)
+        batch = pool.sample(2, *rows([q]), rng=np.random.default_rng(0))
+        assert batch.labels.tolist() == [[0, 0, 0]]
+        np.testing.assert_array_equal(batch.h_keys[0, 0], q.h_key)
+        np.testing.assert_array_equal(batch.h_keys[0, 1], e.h_key)
+        np.testing.assert_array_equal(batch.h_keys[0, 2], e.h_key)
 
     def test_bank_dimension_arithmetic(self):
         pool = MocoQueues(class_count=3, queue_size=4)
         for c in range(3):
-            enqueue(pool, [entry(c, seed=10 + c), entry(c, seed=20 + c)])
-        batch = sample_keys(pool, 2, entry(1, seed=30), np.random.default_rng(1))
+            pool.enqueue(*rows([entry(c, seed=10 + c), entry(c, seed=20 + c)]))
+        batch = pool.sample(2, *rows([entry(1, seed=30)]), rng=np.random.default_rng(1))
         assert batch.size == 6  # keys_per_class x non-empty classes
-        assert batch.h_keys.shape == (7, 3)
-        assert batch.z_keys.shape == (7, 2)
-        assert batch.labels[0] == 1
+        assert batch.h_keys.shape == (1, 7, 3)
+        assert batch.z_keys.shape == (1, 7, 2)
+        assert batch.labels[0, 0] == 1
 
     def test_seeded_sampling_replays(self):
         pool = MocoQueues(class_count=2, queue_size=8)
         for i in range(10):
-            enqueue(pool, [entry(i % 2, seed=i)])
-        q = entry(0, seed=99)
-        b1 = sample_keys(pool, 3, q, np.random.default_rng(123))
-        b2 = sample_keys(pool, 3, q, np.random.default_rng(123))
-        np.testing.assert_array_equal(b1.h_keys.data, b2.h_keys.data)
+            pool.enqueue(*rows([entry(i % 2, seed=i)]))
+        q = rows([entry(0, seed=99)])
+        b1 = pool.sample(3, *q, rng=np.random.default_rng(123))
+        b2 = pool.sample(3, *q, rng=np.random.default_rng(123))
+        np.testing.assert_array_equal(b1.h_keys, b2.h_keys)
         np.testing.assert_array_equal(b1.labels, b2.labels)
+
+    def test_draw_order_matches_per_query_per_class_replay(self):
+        # One rng.integers call per (query, non-empty class): queries in
+        # batch order, classes ascending, positions counted oldest first.
+        pool = MocoQueues(class_count=4, queue_size=3)
+        pool.enqueue(*rows([entry(c, seed=50 + i) for i, c in enumerate([0, 2, 2, 0, 3, 2, 0, 0, 2])]))
+        queries = [entry(c, seed=90 + c) for c in (2, 0, 3)]
+        batch = pool.sample(2, *rows(queries), rng=np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        for i, q in enumerate(queries):
+            want_h, want_labels = [q.h_key], [q.label]
+            for c in range(4):
+                buf = pool.entries(c)
+                if not buf:
+                    continue
+                for j in rng.integers(0, len(buf), size=2):
+                    want_h.append(buf[int(j)].h_key)
+                    want_labels.append(c)
+            np.testing.assert_array_equal(batch.h_keys[i], want_h)
+            assert batch.labels[i].tolist() == want_labels
 
     def test_empty_pool_rejected(self):
         pool = MocoQueues(class_count=2, queue_size=2)
         with pytest.raises(EmptyPoolError):
-            sample_keys(pool, 1, entry(0, seed=0), np.random.default_rng(0))
+            pool.sample(1, *rows([entry(0, seed=0)]), rng=np.random.default_rng(0))
 
     def test_positive_set_never_empty(self):
         pool = MocoQueues(class_count=2, queue_size=2)
-        enqueue(pool, [entry(1, seed=0)])  # no keys of class 0 present
-        q = entry(0, seed=1)
-        batch = sample_keys(pool, 2, q, np.random.default_rng(0))
-        mask = batch.positive_mask(0)
-        assert mask[0]
+        pool.enqueue(*rows([entry(1, seed=0)]))  # no keys of class 0 present
+        batch = pool.sample(2, *rows([entry(0, seed=1)]), rng=np.random.default_rng(0))
+        mask = batch.positive_mask(np.array([0]))
+        assert mask[0, 0]
         assert mask.sum() >= 1
 
 
@@ -144,21 +181,21 @@ class TestMemoryBank:
         bank = self.make_bank(m=0.0)
         new_h = unit([1.0, 0.0, 0.0])[None, :]
         new_z = unit([0.0, 1.0])[None, :]
-        bank_update(bank, np.array([2]), new_h, new_z)
+        bank.update(np.array([2]), new_h, new_z)
         np.testing.assert_allclose(bank.h_snap[2], new_h[0], atol=1e-12)
         np.testing.assert_allclose(bank.z_snap[2], new_z[0], atol=1e-12)
 
     def test_update_m1_frozen(self):
         bank = self.make_bank(m=1.0)
         before = bank.h_snap[3].copy()
-        bank_update(bank, np.array([3]), unit([1, 1, 1])[None, :], unit([1, 1])[None, :])
+        bank.update(np.array([3]), unit([1, 1, 1])[None, :], unit([1, 1])[None, :])
         np.testing.assert_array_equal(bank.h_snap[3], before)
 
     def test_hand_mix_and_renormalize(self):
         labels = np.array([0])
         bank = MemoryBank(labels, m_bank=0.5)
         bank.initialize(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
-        bank_update(bank, np.array([0]), np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]]))
+        bank.update(np.array([0]), np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]]))
         expect = np.array([np.sqrt(0.5), np.sqrt(0.5)])
         np.testing.assert_allclose(bank.h_snap[0], expect, atol=1e-12)
         np.testing.assert_allclose(bank.z_snap[0], expect, atol=1e-12)
@@ -166,41 +203,113 @@ class TestMemoryBank:
     def test_update_out_of_range(self):
         bank = self.make_bank()
         with pytest.raises(IndexError):
-            bank_update(bank, np.array([17]), unit([1, 0, 0])[None, :], unit([1, 0])[None, :])
+            bank.update(np.array([17]), unit([1, 0, 0])[None, :], unit([1, 0])[None, :])
 
     def test_uninitialized_bank_rejected(self):
         bank = MemoryBank(np.array([0, 1]), m_bank=0.5)
         with pytest.raises(EmptyPoolError):
-            bank_sample(bank, 1, entry(0, seed=0), np.random.default_rng(0))
+            bank.sample(1, *rows([entry(0, seed=0)]), rng=np.random.default_rng(0))
+
+    def test_entry_returns_copies_with_labels(self):
+        bank = self.make_bank()
+        h, z, labels = bank.entry(np.array([4, 1]))
+        np.testing.assert_array_equal(h, bank.h_snap[[4, 1]])
+        np.testing.assert_array_equal(z, bank.z_snap[[4, 1]])
+        assert labels.tolist() == [1, 1]
+        h[:] = 0.0
+        assert np.all(bank.h_snap[[4, 1]] != 0.0)
 
     def test_single_item_per_class_is_deterministic(self):
         labels = np.array([0, 1, 2])
         bank = MemoryBank(labels, m_bank=0.5)
         rng = np.random.default_rng(1)
         bank.initialize(rng.normal(size=(3, 3)), rng.normal(size=(3, 2)))
-        q = entry(0, seed=5)
-        batch = bank_sample(bank, 1, q, np.random.default_rng(9))
-        assert batch.labels.tolist() == [0, 0, 1, 2]
-        np.testing.assert_allclose(batch.h_keys.data[1], bank.h_snap[0], atol=0)
+        batch = bank.sample(1, *rows([entry(0, seed=5)]), rng=np.random.default_rng(9))
+        assert batch.labels.tolist() == [[0, 0, 1, 2]]
+        np.testing.assert_allclose(batch.h_keys[0, 1], bank.h_snap[0], atol=0)
 
     def test_seeded_sampling_replays(self):
         bank = self.make_bank(n=12)
-        q = entry(1, seed=3)
-        b1 = bank_sample(bank, 2, q, np.random.default_rng(77))
-        b2 = bank_sample(bank, 2, q, np.random.default_rng(77))
-        np.testing.assert_array_equal(b1.h_keys.data, b2.h_keys.data)
+        q = rows([entry(1, seed=3)])
+        b1 = bank.sample(2, *q, rng=np.random.default_rng(77))
+        b2 = bank.sample(2, *q, rng=np.random.default_rng(77))
+        np.testing.assert_array_equal(b1.h_keys, b2.h_keys)
         np.testing.assert_array_equal(b1.labels, b2.labels)
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_draw_order_matches_per_query_replay(self, uniform):
+        # Balanced: one call per (query, class), classes ascending.
+        # Uniform: one call per query over every snapshot.
+        bank = self.make_bank(n=12)
+        queries = rows([entry(c, seed=60 + c) for c in (2, 0, 1, 1)])
+        batch = bank.sample(2, *queries, rng=np.random.default_rng(13), uniform=uniform)
+        rng = np.random.default_rng(13)
+        for i in range(4):
+            if uniform:
+                ids = rng.integers(0, 12, size=6)
+            else:
+                ids = np.concatenate([np.flatnonzero(bank.labels == c)[rng.integers(0, 4, size=2)] for c in range(3)])
+            np.testing.assert_array_equal(batch.h_keys[i, 1:], bank.h_snap[ids])
+            np.testing.assert_array_equal(batch.z_keys[i, 1:], bank.z_snap[ids])
+            np.testing.assert_array_equal(batch.labels[i, 1:], bank.labels[ids])
 
     def test_balanced_label_histogram(self):
         bank = self.make_bank(n=12)
-        batch = bank_sample(bank, 4, entry(0, seed=2), np.random.default_rng(5))
-        counts = np.bincount(batch.labels[1:], minlength=3)
+        batch = bank.sample(4, *rows([entry(0, seed=2)]), rng=np.random.default_rng(5))
+        counts = np.bincount(batch.labels[0, 1:], minlength=3)
         np.testing.assert_array_equal(counts, [4, 4, 4])
 
     def test_uniform_mode_keeps_size(self):
         bank = self.make_bank(n=12)
-        batch = bank_sample(bank, 4, entry(0, seed=2), np.random.default_rng(5), uniform=True)
+        batch = bank.sample(4, *rows([entry(0, seed=2)]), rng=np.random.default_rng(5), uniform=True)
         assert batch.size == 12  # 4 per class x 3 classes, drawn globally
+
+
+class TestUnitNormChecks:
+    """Every block of keys entering or leaving a pool is checked at once."""
+
+    def test_enqueue_rejects_a_non_unit_row(self):
+        pool = MocoQueues(class_count=2, queue_size=4)
+        h, z, labels = rows([entry(0, seed=1), entry(1, seed=2), entry(0, seed=3)])
+        h[1] *= 1.001
+        with pytest.raises(ValueError, match="unit-norm"):
+            pool.enqueue(h, z, labels)
+        assert len(pool) == 0
+
+    def test_enqueue_rejects_a_non_finite_row(self):
+        pool = MocoQueues(class_count=2, queue_size=4)
+        h, z, labels = rows([entry(0, seed=1), entry(1, seed=2)])
+        z[0, 0] = np.nan
+        with pytest.raises(ValueError, match="unit-norm"):
+            pool.enqueue(h, z, labels)
+
+    def test_initialize_rejects_a_row_that_cannot_be_made_unit(self):
+        bank = MemoryBank(np.array([0, 1, 1]), m_bank=0.5)
+        h = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="unit-norm"):
+                bank.initialize(h, np.eye(3)[:, :2] + 0.5)
+        assert not bank.initialized
+
+    def test_update_rejects_a_non_unit_row(self):
+        bank = TestMemoryBank().make_bank()
+        before = bank.h_snap.copy()
+        with pytest.raises(ValueError, match="unit-norm"):
+            bank.update(np.array([0, 1]), np.array([unit([1, 0, 0]), [0.0, 2.0, 0.0]]), np.eye(2))
+        np.testing.assert_array_equal(bank.h_snap, before)
+
+    def test_gathered_sample_rejects_a_non_unit_query_key(self):
+        pool = MocoQueues(class_count=1, queue_size=4)
+        pool.enqueue(*rows([entry(0, seed=1)]))
+        h, z, labels = rows([entry(0, seed=2)])
+        with pytest.raises(ValueError, match="unit-norm"):
+            pool.sample(1, 2.0 * h, z, labels, rng=np.random.default_rng(0))
+
+    def test_gathered_sample_rejects_a_corrupted_snapshot(self):
+        bank = TestMemoryBank().make_bank(n=3)
+        bank.z_snap[1] *= 3.0  # every class has one example, so row 1 is drawn
+        with pytest.raises(ValueError, match="unit-norm"):
+            bank.sample(1, *rows([entry(0, seed=4)]), rng=np.random.default_rng(0))
 
 
 class TestContractParity:
@@ -215,14 +324,15 @@ class TestContractParity:
         bank.initialize(h, z)
         hn = h / np.linalg.norm(h, axis=1, keepdims=True)
         zn = z / np.linalg.norm(z, axis=1, keepdims=True)
-        enqueue(pool, [KeyEntry(hn[i], zn[i], int(labels[i])) for i in range(4)])
-        q = entry(1, seed=4)
+        pool.enqueue(hn, zn, labels)
+        q = rows([entry(1, seed=4)])
         for batch in (
-            pool.sample(2, q, np.random.default_rng(3)),
-            bank.sample(2, q, np.random.default_rng(3)),
+            pool.sample(2, *q, rng=np.random.default_rng(3)),
+            bank.sample(2, *q, rng=np.random.default_rng(3)),
         ):
-            assert batch.h_keys.shape == (5, d)
-            assert batch.z_keys.shape == (5, L)
-            assert batch.labels[0] == q.label
-            assert not batch.h_keys.grad_enabled and not batch.z_keys.grad_enabled
-            np.testing.assert_allclose(np.linalg.norm(batch.h_keys.data, axis=1), 1.0, atol=1e-9)
+            assert batch.h_keys.shape == (1, 5, d)
+            assert batch.z_keys.shape == (1, 5, L)
+            assert batch.labels.shape == (1, 5)
+            assert batch.labels[0, 0] == 1
+            assert isinstance(batch.h_keys, np.ndarray) and isinstance(batch.z_keys, np.ndarray)
+            np.testing.assert_allclose(np.linalg.norm(batch.h_keys, axis=2), 1.0, atol=1e-9)

@@ -26,7 +26,21 @@ def unit_rows(rng, n, d):
 
 
 def make_batch(h_rows, z_rows, labels):
-    return KeyBatch(h_keys=Tensor(h_rows), z_keys=Tensor(z_rows), labels=np.asarray(labels, dtype=np.int64))
+    """The keys of one query: a KeyBatch with B = 1."""
+    return KeyBatch(
+        h_keys=np.asarray(h_rows, dtype=float)[None],
+        z_keys=np.asarray(z_rows, dtype=float)[None],
+        labels=np.asarray(labels, dtype=np.int64)[None],
+    )
+
+
+def stack(batches):
+    """One KeyBatch holding several queries' keys, in order."""
+    return KeyBatch(
+        h_keys=np.concatenate([kb.h_keys for kb in batches]),
+        z_keys=np.concatenate([kb.z_keys for kb in batches]),
+        labels=np.concatenate([kb.labels for kb in batches]),
+    )
 
 
 def nll_oracle(logit_row, index, dps=50):
@@ -100,14 +114,14 @@ class TestInfoNCE:
             info_nce(Tensor(q), batch, positive_index=2, tau=TAU)
 
 
-def cce_oracle(h_norm, labels, W, batches, tau, variant="literal"):
+def cce_oracle(h_norm, labels, W, keys, tau, variant="literal"):
     """Independent recomputation: live slot 0, extended-precision softmax."""
     total = 0.0
-    for i, kb in enumerate(batches):
+    for i in range(len(labels)):
         y = int(labels[i])
-        bank = np.vstack([h_norm[i][None, :], kb.h_keys.data[1:]])
+        bank = np.vstack([h_norm[i][None, :], keys.h_keys[i, 1:]])
         sims = (bank @ W[y]) / tau
-        positives = kb.labels == y
+        positives = keys.labels[i] == y
         if variant == "literal":
             total += positives.sum() * nll_oracle(sims, 0)
         else:
@@ -115,11 +129,11 @@ def cce_oracle(h_norm, labels, W, batches, tau, variant="literal"):
     return total
 
 
-def ccl_oracle(z_q, labels, batches, tau):
+def ccl_oracle(z_q, labels, keys, tau):
     total = 0.0
-    for i, kb in enumerate(batches):
-        sims = (kb.z_keys.data @ z_q[i]) / tau
-        for k in np.flatnonzero(kb.labels == int(labels[i])):
+    for i in range(len(labels)):
+        sims = (keys.z_keys[i] @ z_q[i]) / tau
+        for k in np.flatnonzero(keys.labels[i] == int(labels[i])):
             total += nll_oracle(sims, k)
     return total
 
@@ -130,7 +144,7 @@ class TestCCE:
         h = unit_rows(rng, 1, 4)
         W = rng.normal(size=(3, 4))
         batch = make_batch(h.copy(), unit_rows(rng, 1, 2), [1])  # K = 0
-        loss = cce(Tensor(h), np.array([1]), Tensor(W), [batch], TAU)
+        loss = cce(Tensor(h), np.array([1]), Tensor(W), batch, TAU)
         assert abs(loss.item()) <= 1e-12
 
     def test_indistinguishable_same_class_keys(self):
@@ -140,7 +154,7 @@ class TestCCE:
         keys_h = np.tile(h, (k + 1, 1))
         batch = make_batch(keys_h, unit_rows(rng, k + 1, 2), [2] * (k + 1))
         W = rng.normal(size=(3, 4))
-        loss = cce(Tensor(h), np.array([2]), Tensor(W), [batch], TAU)
+        loss = cce(Tensor(h), np.array([2]), Tensor(W), batch, TAU)
         assert abs(loss.item() - (k + 1) * math.log(k + 1)) <= 1e-9
 
     @pytest.mark.parametrize("variant", ["literal", "per_key"])
@@ -150,16 +164,16 @@ class TestCCE:
         h = unit_rows(rng, b, d)
         labels = np.array([1, 0])
         W = rng.normal(size=(c, d))
-        batches = [
+        keys = stack([
             make_batch(
                 np.vstack([unit_rows(rng, 1, d), unit_rows(rng, k, d)]),
                 unit_rows(rng, k + 1, 3),
                 np.concatenate([[labels[i]], rng.integers(0, c, size=k)]),
             )
             for i in range(b)
-        ]
-        got = cce(Tensor(h), labels, Tensor(W), batches, TAU, variant=variant).item()
-        expect = cce_oracle(h, labels, W, batches, TAU, variant=variant)
+        ])
+        got = cce(Tensor(h), labels, Tensor(W), keys, TAU, variant=variant).item()
+        expect = cce_oracle(h, labels, W, keys, TAU, variant=variant)
         assert abs(got - expect) <= 1e-12 * max(1.0, abs(expect))
 
     def test_literal_is_multiplicity_times_per_query_term(self):
@@ -170,8 +184,8 @@ class TestCCE:
         W = rng.normal(size=(2, d))
         kb_labels = np.array([0, 0, 1, 0, 1, 1, 0])
         batch = make_batch(np.vstack([h, unit_rows(rng, k, d)]), unit_rows(rng, k + 1, 3), kb_labels)
-        got = cce(Tensor(h), labels, Tensor(W), [batch], TAU).item()
-        bank = np.vstack([h, batch.h_keys.data[1:]])
+        got = cce(Tensor(h), labels, Tensor(W), batch, TAU).item()
+        bank = np.vstack([h, batch.h_keys[0, 1:]])
         term = nll_oracle((bank @ W[0]) / TAU, 0)
         assert abs(got - int((kb_labels == 0).sum()) * term) <= 1e-12 * max(1.0, abs(got))
 
@@ -180,7 +194,7 @@ class TestCCE:
         h = unit_rows(rng, 1, 3)
         batch = make_batch(unit_rows(rng, 2, 3), unit_rows(rng, 2, 2), [1, 0])
         with pytest.raises(ValueError):
-            cce(Tensor(h), np.array([0]), Tensor(rng.normal(size=(2, 3))), [batch], TAU)
+            cce(Tensor(h), np.array([0]), Tensor(rng.normal(size=(2, 3))), batch, TAU)
 
 
 class TestCCL:
@@ -191,7 +205,7 @@ class TestCCL:
         keys = unit_rows(rng, k + 1, L)
         labels = np.array([0, 1, 2, 1, 2])  # only slot 0 is class 0
         batch = make_batch(unit_rows(rng, k + 1, 3), keys, labels)
-        got = ccl(Tensor(z), np.array([0]), [batch], TAU).item()
+        got = ccl(Tensor(z), np.array([0]), batch, TAU).item()
         ref = info_nce(Tensor(z), batch, positive_index=0, tau=TAU).item()
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
@@ -200,7 +214,7 @@ class TestCCL:
         L, k = 4, 5
         z = unit_rows(rng, 1, L)
         batch = make_batch(unit_rows(rng, k + 1, 3), np.tile(z, (k + 1, 1)), [3] * (k + 1))
-        got = ccl(Tensor(z), np.array([3]), [batch], TAU).item()
+        got = ccl(Tensor(z), np.array([3]), batch, TAU).item()
         assert abs(got - (k + 1) * math.log(k + 1)) <= 1e-9
 
     def test_matches_brute_force_oracle(self):
@@ -212,8 +226,9 @@ class TestCCL:
         for i in range(2):
             kb_labels = np.concatenate([[labels[i]], [1, 1, 0, 2, 0]])
             batches.append(make_batch(unit_rows(rng, k + 1, 4), unit_rows(rng, k + 1, L), kb_labels))
-        got = ccl(Tensor(z), labels, batches, TAU).item()
-        expect = ccl_oracle(z, labels, batches, TAU)
+        keys = stack(batches)
+        got = ccl(Tensor(z), labels, keys, TAU).item()
+        expect = ccl_oracle(z, labels, keys, TAU)
         assert abs(got - expect) <= 1e-12 * max(1.0, abs(expect))
 
 
@@ -276,19 +291,19 @@ class TestInvariants:
             z = unit_rows(rng, b, L)
             labels = rng.integers(0, c, size=b)
             W = rng.normal(size=(c, d))
-            batches = [
+            keys = stack([
                 make_batch(
                     unit_rows(rng, k + 1, d),
                     unit_rows(rng, k + 1, L),
                     np.concatenate([[labels[i]], rng.integers(0, c, size=k)]),
                 )
                 for i in range(b)
-            ]
+            ])
             logits = rng.normal(size=(b, c))
             assert ce(Tensor(logits), labels).item() >= 0.0
-            assert cce(Tensor(h), labels, Tensor(W), batches, TAU).item() >= 0.0
-            assert cce(Tensor(h), labels, Tensor(W), batches, TAU, variant="per_key").item() >= 0.0
-            assert ccl(Tensor(z), labels, batches, TAU).item() >= 0.0
+            assert cce(Tensor(h), labels, Tensor(W), keys, TAU).item() >= 0.0
+            assert cce(Tensor(h), labels, Tensor(W), keys, TAU, variant="per_key").item() >= 0.0
+            assert ccl(Tensor(z), labels, keys, TAU).item() >= 0.0
 
     def test_ccl_strictly_decreases_as_positive_similarity_rises(self):
         # One-parameter family: q = t * k_pos + fixed orthogonal part, so the
@@ -303,7 +318,7 @@ class TestInvariants:
         values = []
         for t in (0.1, 0.4, 0.8, 1.2):
             q = (t * pos + offset)[None, :]
-            values.append(ccl(Tensor(q), np.array([0]), [batch], TAU).item())
+            values.append(ccl(Tensor(q), np.array([0]), batch, TAU).item())
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_cce_strictly_decreases_as_prototype_alignment_rises(self):
@@ -314,7 +329,7 @@ class TestInvariants:
         for t in (0.05, 0.2, 0.5, 0.9):
             h = np.array([[t, 0.4, 0.0]])  # unnormalized probe of the formula
             batch = make_batch(np.vstack([h, keys]), np.vstack([h, keys]), [0, 1, 1])
-            values.append(cce(Tensor(h), np.array([0]), Tensor(w), [batch], TAU).item())
+            values.append(cce(Tensor(h), np.array([0]), Tensor(w), batch, TAU).item())
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_high_temperature_uniform_limits(self):
@@ -329,10 +344,10 @@ class TestInvariants:
         batch = make_batch(unit_rows(rng, k + 1, d), unit_rows(rng, k + 1, L), labels_all)
         n_pos = int((labels_all == 0).sum())
         assert abs(info_nce(Tensor(q), batch, 0, tau_inf).item() - math.log(k + 1)) <= 1e-6
-        assert abs(ccl(Tensor(q), np.array([0]), [batch], tau_inf).item() - n_pos * math.log(k + 1)) <= 1e-6
+        assert abs(ccl(Tensor(q), np.array([0]), batch, tau_inf).item() - n_pos * math.log(k + 1)) <= 1e-6
         h = 0.1 * unit_rows(rng, 1, d)
         W = 0.1 * unit_rows(rng, 3, d)
-        assert abs(cce(Tensor(h), np.array([0]), Tensor(W), [batch], tau_inf).item() - n_pos * math.log(k + 1)) <= 1e-6
+        assert abs(cce(Tensor(h), np.array([0]), Tensor(W), batch, tau_inf).item() - n_pos * math.log(k + 1)) <= 1e-6
 
     def test_keys_receive_no_gradient(self):
         rng = np.random.default_rng(16)
@@ -341,23 +356,25 @@ class TestInvariants:
         z_raw = Tensor(rng.normal(size=(b, L)) + 0.5, grad_enabled=True)
         W = Tensor(rng.normal(size=(c, d)), grad_enabled=True)
         labels = rng.integers(0, c, size=b)
-        batches = [
+        keys = stack([
             make_batch(
                 unit_rows(rng, k + 1, d),
                 unit_rows(rng, k + 1, L),
                 np.concatenate([[labels[i]], rng.integers(0, c, size=k)]),
             )
             for i in range(b)
-        ]
+        ])
+        h_keys, z_keys = keys.h_keys.copy(), keys.z_keys.copy()
         terms = LossTerms()
         terms.ce = ce(nd.matmul(nd.row_l2_normalize(h_raw), nd.transpose(W)), labels)
-        terms.cce = cce(nd.row_l2_normalize(h_raw), labels, W, batches, TAU)
-        terms.ccl = ccl(nd.row_l2_normalize(z_raw), labels, batches, TAU)
+        terms.cce = cce(nd.row_l2_normalize(h_raw), labels, W, keys, TAU)
+        terms.ccl = ccl(nd.row_l2_normalize(z_raw), labels, keys, TAU)
         joint_total(terms).backward()
         assert h_raw.grad is not None and W.grad is not None
-        for kb in batches:
-            assert kb.h_keys.grad is None
-            assert kb.z_keys.grad is None
+        # Keys are plain arrays outside the tape: nothing can write to them.
+        assert not isinstance(keys.h_keys, Tensor) and not isinstance(keys.z_keys, Tensor)
+        np.testing.assert_array_equal(keys.h_keys, h_keys)
+        np.testing.assert_array_equal(keys.z_keys, z_keys)
 
     @pytest.mark.parametrize("name", sorted(LOSS_CASES))
     def test_loss_gradients_match_finite_differences(self, name):

@@ -115,6 +115,48 @@ class TestLogSoftmaxRow:
         assert err < 1e-6
 
 
+class TestRowDotSlab:
+    def test_each_row_meets_its_own_slab(self):
+        a = Tensor([[1.0, 2.0], [3.0, -1.0]])
+        slab = np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [[2.0, 0.0], [0.0, 2.0], [1.0, 1.0]]])
+        out = nd.row_dot_slab(a, slab)
+        np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0], [6.0, -2.0, 2.0]])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_gradient_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        b, n, d = (int(v) for v in rng.integers(1, 6, size=3))
+        a = Tensor(rng.normal(size=(b, d)), grad_enabled=True)
+        slab = rng.normal(size=(b, n, d))
+        head = Tensor(rng.normal(size=(b, n)))
+        err = worst_relative_error(lambda: nd.sum(nd.mul(nd.row_dot_slab(a, slab), head)), [a])
+        assert err <= 1e-4
+
+    def test_slab_receives_no_gradient_and_is_not_modified(self):
+        rng = np.random.default_rng(5)
+        a = Tensor(rng.normal(size=(2, 3)), grad_enabled=True)
+        slab = rng.normal(size=(2, 4, 3))
+        before = slab.copy()
+        nd.sum(nd.row_dot_slab(a, slab)).backward()
+        np.testing.assert_allclose(a.grad, slab.sum(axis=1), atol=1e-15)
+        np.testing.assert_array_equal(slab, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_slab_rejected(self, bad):
+        slab = np.ones((2, 3, 2))
+        slab[1, 2, 0] = bad
+        with pytest.raises(NonFiniteError):
+            nd.row_dot_slab(Tensor(np.ones((2, 2)), grad_enabled=True), slab)
+
+    @pytest.mark.parametrize(
+        "a_shape, slab_shape",
+        [((2, 3), (2, 4, 2)), ((2, 3), (3, 4, 3)), ((2, 3), (2, 3)), ((6,), (2, 4, 3))],
+    )
+    def test_mismatched_dims_rejected(self, a_shape, slab_shape):
+        with pytest.raises(ShapeError):
+            nd.row_dot_slab(Tensor(np.ones(a_shape)), np.ones(slab_shape))
+
+
 class TestPlumbingOps:
     def test_add_bias_broadcast(self):
         out = nd.add(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([10.0, 20.0]))
