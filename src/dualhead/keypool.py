@@ -13,9 +13,10 @@ for the whole batch, whose slot 0 is each query's own key, so every
 softmax bank has K+1 rows and no query's positive set is ever empty.
 Draws are uniform with replacement (early buffers can hold fewer entries
 than requested), balanced per class, and fully determined by the
-caller's generator: one ``rng.integers`` call per (query, non-empty
-class), queries in batch order and classes ascending. Unit norm is
-checked once per enqueued, installed, mixed-in or gathered block of keys.
+caller's generator: the keys drawn, and the generator's state after, are
+exactly those of one ``rng.integers(0, n_c, size=k)`` call per (query,
+non-empty class c), queries in batch order and classes ascending. Unit
+norm is checked once per enqueued, installed, mixed-in or gathered block.
 """
 
 from __future__ import annotations
@@ -47,13 +48,10 @@ def _key_rows(h, z, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return h, z, labels
 
 
-def _draw(rng: np.random.Generator, queries: int, sizes: list[int], per_class: int) -> np.ndarray:
-    """(queries x classes x per_class) uniform positions: one rng.integers call per (query, class)."""
-    out = np.empty((queries, len(sizes), per_class), dtype=np.int64)
-    for i in range(queries):
-        for j, n in enumerate(sizes):
-            out[i, j] = rng.integers(0, n, size=per_class)
-    return out
+def _draw(rng: np.random.Generator, queries: int, sizes: np.ndarray | list[int], per_class: int) -> np.ndarray:
+    """(queries x classes x per_class) positions in [0, sizes[j]): the module's stream, in one broadcast call."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    return rng.integers(0, np.broadcast_to(sizes[None, :, None], (queries, sizes.shape[0], per_class)))
 
 
 @dataclass
@@ -157,7 +155,7 @@ class MocoQueues:
         if len(self) == 0:
             raise EmptyPoolError("all class buffers are empty; warm the pool up first")
         classes = np.flatnonzero(self._fill)
-        picks = _draw(rng, len(labels), self._fill[classes].tolist(), keys_per_class)
+        picks = _draw(rng, len(labels), self._fill[classes], keys_per_class)
         b = picks.shape[0]
         cls = np.broadcast_to(classes[None, :, None], picks.shape).reshape(b, -1)
         slots = ((self._head[classes][None, :, None] + picks) % self.queue_size).reshape(b, -1)
@@ -223,8 +221,8 @@ class MemoryBank:
         """Same contract as MocoQueues.sample, drawing from the snapshots.
 
         ``uniform=True`` switches from balanced per-class draws to global
-        uniform draws over all snapshots, one call per query (same batch
-        size either way).
+        uniform draws over all snapshots, the stream of one call per query
+        (same batch size either way).
         """
         if count_per_class < 1:
             raise ValueError("count_per_class must be >= 1")

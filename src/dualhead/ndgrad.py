@@ -16,7 +16,8 @@ the whole computation graph. Design constraints:
 Tensors are immutable once built except for two sanctioned cases: their
 gradient buffer, which belongs to the one tape they participate in, and
 in-place value updates applied to leaf parameters *between* tapes (the
-optimizer and the momentum twin do this).
+optimizer and the momentum twin do this). A tensor owns its gradient
+buffer: it never aliases an upstream gradient or another tensor's buffer.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ class Tensor:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite value produced by {op}")
 
 
@@ -152,8 +153,9 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.grad_enabled:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)  # an owned copy: g may be shared or a view
+    else:
+        t.grad += g
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -298,9 +300,9 @@ def row_l2_normalize(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"row_l2_normalize needs a 2-D operand, got {a.shape}")
     norms = np.linalg.norm(a.data, axis=1, keepdims=True)
-    if not np.all(np.isfinite(norms)):
+    if not np.isfinite(norms).all():
         raise NonFiniteError("row norm overflowed in row_l2_normalize")
-    if np.any(norms < NORM_EPS):
+    if (norms < NORM_EPS).any():
         row = int(np.argmin(norms))
         raise DegenerateRowError(f"row {row} has norm {norms[row, 0]:.3e} < {NORM_EPS}")
     out = a.data / norms

@@ -136,7 +136,7 @@ def sgd_apply(params: ModelParams, opt: OptimizerState) -> None:
         v += g
         t.data -= opt.effective_lr(name) * v
         t.zero_grad()
-        if not np.all(np.isfinite(t.data)):
+        if not np.isfinite(t.data).all():
             raise NonFiniteError(f"parameter {name} became non-finite after the optimizer step")
 
 

@@ -8,6 +8,7 @@ from dualhead.keypool import (
     KeyEntry,
     MemoryBank,
     MocoQueues,
+    _draw,
 )
 
 
@@ -128,12 +129,14 @@ class TestMocoQueues:
         np.testing.assert_array_equal(b1.labels, b2.labels)
 
     def test_draw_order_matches_per_query_per_class_replay(self):
-        # One rng.integers call per (query, non-empty class): queries in
-        # batch order, classes ascending, positions counted oldest first.
+        # The stream of one rng.integers call per (query, non-empty class):
+        # queries in batch order, classes ascending, positions counted
+        # oldest first; the generator must end in the replay's state.
         pool = MocoQueues(class_count=4, queue_size=3)
         pool.enqueue(*rows([entry(c, seed=50 + i) for i, c in enumerate([0, 2, 2, 0, 3, 2, 0, 0, 2])]))
         queries = [entry(c, seed=90 + c) for c in (2, 0, 3)]
-        batch = pool.sample(2, *rows(queries), rng=np.random.default_rng(11))
+        pool_rng = np.random.default_rng(11)
+        batch = pool.sample(2, *rows(queries), rng=pool_rng)
         rng = np.random.default_rng(11)
         for i, q in enumerate(queries):
             want_h, want_labels = [q.h_key], [q.label]
@@ -146,6 +149,7 @@ class TestMocoQueues:
                     want_labels.append(c)
             np.testing.assert_array_equal(batch.h_keys[i], want_h)
             assert batch.labels[i].tolist() == want_labels
+        assert pool_rng.bit_generator.state == rng.bit_generator.state
 
     def test_empty_pool_rejected(self):
         pool = MocoQueues(class_count=2, queue_size=2)
@@ -159,6 +163,39 @@ class TestMocoQueues:
         mask = batch.positive_mask(np.array([0]))
         assert mask[0, 0]
         assert mask.sum() >= 1
+
+
+def _draw_oracle(rng, queries, sizes, per_class):
+    """The stream contract spelled out: one rng.integers call per (query, class), in order."""
+    out = np.empty((queries, len(sizes), per_class), dtype=np.int64)
+    for i in range(queries):
+        for j, n in enumerate(sizes):
+            out[i, j] = rng.integers(0, n, size=per_class)
+    return out
+
+
+def test_draw_is_the_per_query_per_class_stream():
+    # The broadcast draw must give the oracle's picks and leave the generator
+    # in the oracle's state, so every later draw matches too. Cases cover one
+    # class, one key per class, size-1 classes, sizes past 2**32, and a
+    # generator holding a buffered 32-bit half-word from an earlier draw.
+    meta = np.random.default_rng(2024)
+    for case in range(400):
+        queries = int(meta.integers(1, 9))
+        classes = 1 if case % 5 == 0 else int(meta.integers(1, 7))
+        per_class = 1 if case % 3 == 0 else int(meta.integers(1, 9))
+        top = int(meta.choice([2, 3, 17, 1000, 2**31, 2**32 + 3, 2**40, 2**62]))
+        sizes = meta.integers(1, top, size=classes, endpoint=True)
+        if case % 7 == 0:
+            sizes[0] = 1
+        seed, warm = int(meta.integers(2**32)), int(meta.integers(0, 3))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for r in (got_rng, want_rng):
+            r.integers(0, 5, size=warm)
+        got = _draw(got_rng, queries, sizes, per_class)
+        want = _draw_oracle(want_rng, queries, sizes.tolist(), per_class)
+        np.testing.assert_array_equal(got, want, err_msg=f"case {case}: sizes {sizes.tolist()}")
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, f"case {case}"
 
 
 class TestMemoryBank:
@@ -238,11 +275,13 @@ class TestMemoryBank:
 
     @pytest.mark.parametrize("uniform", [False, True])
     def test_draw_order_matches_per_query_replay(self, uniform):
-        # Balanced: one call per (query, class), classes ascending.
-        # Uniform: one call per query over every snapshot.
+        # Balanced: the stream of one call per (query, class), classes
+        # ascending. Uniform: of one call per query over every snapshot.
+        # Either way the generator must end in the replay's state.
         bank = self.make_bank(n=12)
         queries = rows([entry(c, seed=60 + c) for c in (2, 0, 1, 1)])
-        batch = bank.sample(2, *queries, rng=np.random.default_rng(13), uniform=uniform)
+        bank_rng = np.random.default_rng(13)
+        batch = bank.sample(2, *queries, rng=bank_rng, uniform=uniform)
         rng = np.random.default_rng(13)
         for i in range(4):
             if uniform:
@@ -252,6 +291,7 @@ class TestMemoryBank:
             np.testing.assert_array_equal(batch.h_keys[i, 1:], bank.h_snap[ids])
             np.testing.assert_array_equal(batch.z_keys[i, 1:], bank.z_snap[ids])
             np.testing.assert_array_equal(batch.labels[i, 1:], bank.labels[ids])
+        assert bank_rng.bit_generator.state == rng.bit_generator.state
 
     def test_balanced_label_histogram(self):
         bank = self.make_bank(n=12)

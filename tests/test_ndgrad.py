@@ -247,3 +247,66 @@ class TestTapeSemantics:
             return nd.sum(nd.mul(s, head))
 
         assert worst_relative_error(forward, [a, b, bias]) <= 1e-4
+
+
+class TestGradientOwnership:
+    """A leaf's first gradient contribution may be shared or a view; its .grad must be its own copy."""
+
+    @staticmethod
+    def check(build, leaves):
+        # build() -> (scalar loss, every intermediate node whose grad feeds a leaf)
+        loss, nodes = build()
+        for t in leaves:
+            t.zero_grad()
+        loss.backward()
+        for i, t in enumerate(leaves):
+            assert t.grad is not None
+            for g in [n.grad for n in nodes] + [u.grad for j, u in enumerate(leaves) if j != i]:
+                assert not np.shares_memory(t.grad, g)
+        grads = [t.grad.copy() for t in leaves]
+        for t in leaves:
+            t.zero_grad()
+        assert worst_relative_error(lambda: build()[0], leaves) <= 1e-6
+        return grads
+
+    def test_leaf_consumed_twice_by_add(self):
+        rng = np.random.default_rng(0)
+        a = Tensor(rng.normal(size=(3, 4)), grad_enabled=True)
+        head = Tensor(rng.normal(size=(3, 4)))
+
+        def build():
+            doubled = nd.add(a, a)  # both parents receive the same g
+            return nd.sum(nd.mul(doubled, head)), [doubled]
+
+        (grad,) = self.check(build, [a])
+        np.testing.assert_array_equal(grad, 2.0 * head.data)
+
+    @pytest.mark.parametrize("transpose_first", [True, False])
+    def test_leaf_reached_via_transpose_and_a_second_path(self, transpose_first):
+        rng = np.random.default_rng(1)
+        a = Tensor(rng.normal(size=(2, 3)), grad_enabled=True)
+        head_t = Tensor(rng.normal(size=(3, 2)))
+        head = Tensor(rng.normal(size=(2, 3)))
+
+        def build():
+            t = nd.transpose(a)  # backward hands a a view: g.T
+            via_t = nd.mul(t, head_t)
+            direct = nd.mul(nd.relu(a), head)
+            terms = [nd.sum(via_t), nd.sum(direct)]
+            if not transpose_first:
+                terms.reverse()
+            return nd.add(*terms), [t, via_t, direct]
+
+        self.check(build, [a])
+
+    def test_parts_of_a_concat_rows(self):
+        rng = np.random.default_rng(2)
+        a = Tensor(rng.normal(size=(2, 3)), grad_enabled=True)
+        b = Tensor(rng.normal(size=(1, 3)), grad_enabled=True)
+        head = Tensor(rng.normal(size=(5, 3)))
+
+        def build():
+            stacked = nd.concat_rows([a, b, a])  # each part gets a slice view of g; a gets two
+            return nd.sum(nd.mul(nd.log_softmax_row(stacked), head)), [stacked]
+
+        self.check(build, [a, b])
