@@ -10,7 +10,7 @@ bank. All math runs on a small verified reverse-mode autodiff core.
 from .config import RunConfig, load_config, validate_config
 from .data import Dataset, load_delimited, make_blobs, make_rings, subsample_per_class
 from .keypool import KeyBatch, KeyEntry, MemoryBank, MocoQueues
-from .losses import LossTerms, ccl, cce, ce, info_nce, joint_total
+from .losses import LossTerms, ccl, cce, ce, info_nce, joint_total, objective
 from .model import ModelDims, ModelParams, forward_key, forward_query, init_params, init_twin, momentum_update
 from .ndgrad import Tensor
 from .trainer import TrainRun, evaluate, fit, step, warmup
@@ -45,6 +45,7 @@ __all__ = [
     "make_blobs",
     "make_rings",
     "momentum_update",
+    "objective",
     "step",
     "subsample_per_class",
     "validate_config",

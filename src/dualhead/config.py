@@ -25,6 +25,8 @@ class ConfigError(ValueError):
 DATASET_KINDS = ("blobs", "rings", "file")
 KEY_GENERATORS = ("moco", "membank")
 WARMUP_MODES = ("prefill", "defer")
+CCE_VARIANTS = ("literal", "per_key")
+REDUCTIONS = ("sum", "mean")
 
 
 @dataclass
@@ -314,8 +316,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     _require(lo.tau > 0.0, "losses.tau must be > 0")
     _require(lo.ce >= 0.0 and lo.cce >= 0.0 and lo.ccl >= 0.0, "loss weights must be >= 0")
     _require(any(w != 0.0 for w in lo.weights()), "at least one loss weight must be nonzero")
-    _require(lo.cce_variant in ("literal", "per_key"), "losses.cce_variant must be literal or per_key")
-    _require(lo.reduction in ("sum", "mean"), "losses.reduction must be sum or mean")
+    _require(lo.cce_variant in CCE_VARIANTS, "losses.cce_variant must be literal or per_key")
+    _require(lo.reduction in REDUCTIONS, "losses.reduction must be sum or mean")
     _require(op.base_lr >= 0.0, "optimizer.base_lr must be >= 0")
     _require(op.head_lr_multiplier >= 0.0, "optimizer.head_lr_multiplier must be >= 0")
     _require(0.0 <= op.sgd_momentum < 1.0, "optimizer.sgd_momentum must be in [0, 1)")

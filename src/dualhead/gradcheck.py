@@ -8,8 +8,11 @@ near-zero true gradients would otherwise drown in cancellation noise).
 
 Loss cases differentiate through a real model (encoder, classifier,
 projector), so a broken backward rule anywhere in the chain surfaces
-here. Op and loss builders call their targets through module attributes,
-which lets a test inject a corrupted rule and confirm it is caught.
+here. Every loss case but ``info_nce`` is just a ``LossesConfig`` run
+through ``losses.objective``, the function the training step calls, so
+the checks cover the objective that is trained, not a copy of it. Op and
+loss builders call their targets through module attributes, which lets a
+test inject a corrupted rule and confirm it is caught.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 from . import losses as losses_mod
 from . import model as model_mod
 from . import ndgrad as nd
+from .config import LossesConfig
 from .keypool import KeyBatch
 from .model import ModelDims
 from .ndgrad import Tensor
@@ -221,31 +225,26 @@ def _loss_fixture(rng, tau: float = 0.07):
     return params, x, y, keys, tau, wrt
 
 
-def _loss_case(kind: str):
+def _case_info_nce(rng):
+    params, x, y, keys, tau, wrt = _loss_fixture(rng)
+    first = KeyBatch(keys.h_keys[:1], keys.z_keys[:1], keys.labels[:1])  # query 0's keys only
+
+    def forward() -> Tensor:
+        _, z, _ = model_mod.forward_query(params, x)
+        return losses_mod.info_nce(nd.select_rows(z, [0]), first, positive_index=1, tau=tau)
+
+    return forward, wrt
+
+
+def _objective_case(cfg: LossesConfig):
+    """The training objective itself, with the terms and variant cfg selects."""
+
     def build(rng):
-        params, x, y, keys, tau, wrt = _loss_fixture(rng)
-        first = KeyBatch(keys.h_keys[:1], keys.z_keys[:1], keys.labels[:1])  # query 0's keys only
+        params, x, y, keys, _, wrt = _loss_fixture(rng)
 
         def forward() -> Tensor:
             h, z, logits = model_mod.forward_query(params, x)
-            if kind == "ce":
-                return losses_mod.ce(logits, y)
-            if kind == "info_nce":
-                q = nd.select_rows(z, [0])
-                return losses_mod.info_nce(q, first, positive_index=1, tau=tau)
-            if kind == "cce_literal":
-                return losses_mod.cce(nd.row_l2_normalize(h), y, params.classifier_W, keys, tau, variant="literal")
-            if kind == "cce_per_key":
-                return losses_mod.cce(nd.row_l2_normalize(h), y, params.classifier_W, keys, tau, variant="per_key")
-            if kind == "ccl":
-                return losses_mod.ccl(z, y, keys, tau)
-            if kind == "joint_total":
-                terms = losses_mod.LossTerms()
-                terms.ce = losses_mod.ce(logits, y)
-                terms.cce = losses_mod.cce(nd.row_l2_normalize(h), y, params.classifier_W, keys, tau)
-                terms.ccl = losses_mod.ccl(z, y, keys, tau)
-                return losses_mod.joint_total(terms)
-            raise ValueError(kind)
+            return losses_mod.objective(h, z, logits, y, params.classifier_W, keys, cfg).total
 
         return forward, wrt
 
@@ -253,8 +252,12 @@ def _loss_case(kind: str):
 
 
 LOSS_CASES: dict[str, Callable] = {
-    name: _loss_case(name)
-    for name in ("ce", "info_nce", "cce_literal", "cce_per_key", "ccl", "joint_total")
+    "ce": _objective_case(LossesConfig(cce=0.0, ccl=0.0)),
+    "info_nce": _case_info_nce,
+    "cce_literal": _objective_case(LossesConfig(ce=0.0, ccl=0.0, cce_variant="literal")),
+    "cce_per_key": _objective_case(LossesConfig(ce=0.0, ccl=0.0, cce_variant="per_key")),
+    "ccl": _objective_case(LossesConfig(ce=0.0, cce=0.0)),
+    "joint_total": _objective_case(LossesConfig()),
 }
 
 
@@ -289,11 +292,10 @@ class GradcheckReport:
         return out
 
 
-def run_gradcheck(instances: int = 20, base_seed: int = 0, include_ops: bool = True) -> GradcheckReport:
+def run_gradcheck(instances: int = 20, base_seed: int = 0) -> GradcheckReport:
     """Check every op and loss over the given number of random instances."""
     results: list[CheckResult] = []
-    groups = ([("op", OP_CASES)] if include_ops else []) + [("loss", LOSS_CASES)]
-    for kind, cases in groups:
+    for kind, cases in (("op", OP_CASES), ("loss", LOSS_CASES)):
         for name, builder in cases.items():
             worst = 0.0
             for i in range(instances):

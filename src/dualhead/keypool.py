@@ -206,14 +206,15 @@ class MemoryBank:
         return self.h_snap[idx], self.z_snap[idx], self.labels[idx]
 
     def update(self, ids: np.ndarray, h_new: np.ndarray, z_new: np.ndarray) -> None:
-        """snapshot <- m*old + (1-m)*new per row, then back to unit norm."""
+        """snapshot <- m*old + (1-m)*new per row, back to unit norm; both blocks are checked before either is written."""
         idx = self._ids(ids)
         h_new, z_new, _ = _key_rows(h_new, z_new, idx.reshape(-1))
         _check_unit(h_new=h_new, z_new=z_new)
         m = self.m_bank
-        for snap, new in ((self.h_snap, h_new), (self.z_snap, z_new)):
-            mixed = m * snap[idx] + (1.0 - m) * new
-            snap[idx] = mixed / np.linalg.norm(mixed, axis=1, keepdims=True)
+        h, z = m * self.h_snap[idx] + (1.0 - m) * h_new, m * self.z_snap[idx] + (1.0 - m) * z_new
+        h, z = (a / np.linalg.norm(a, axis=1, keepdims=True) for a in (h, z))  # a zero row turns NaN here
+        _check_unit(h_snapshot=h, z_snapshot=z)
+        self.h_snap[idx], self.z_snap[idx] = h, z
 
     def sample(
         self, count_per_class: int, h_query, z_query, labels, rng: np.random.Generator, uniform: bool = False

@@ -18,9 +18,14 @@ softmax followed by negative log-probabilities of designated positives.
 * ``joint_total``: the unweighted sum of the enabled terms. Weights
   exist only so an ablation can switch terms off (weight 0); defaults
   are all 1 and no tuning is intended.
+* ``objective``: the one place the trained composition is built from a
+  ``LossesConfig``: ``ce`` on the logits, ``cce`` on the unit-normalized
+  features, ``ccl`` on the projections, then ``joint_total``. The
+  training step and the gradient checks both call it.
 
 Batch reduction is a plain sum by default; "mean" divides every term by
 the batch size so the three terms stay mutually comparable either way.
+Each term ends in one scale of its masked sum, by -1 or by -1/B.
 Keys arrive as one ``KeyBatch`` for the whole batch, and each
 contrastive loss builds one (B x (K+1)) similarity matrix from it with
 ``ndgrad.row_dot_slab``. Keys are constant arrays: gradients flow to the
@@ -34,11 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ndgrad as nd
+from .config import CCE_VARIANTS, REDUCTIONS, LossesConfig
 from .keypool import KeyBatch
 from .ndgrad import Tensor
-
-CCE_VARIANTS = ("literal", "per_key")
-REDUCTIONS = ("sum", "mean")
 
 
 class NoEnabledTermError(ValueError):
@@ -80,17 +83,12 @@ def _check_labels(labels: np.ndarray, class_count: int) -> np.ndarray:
     return labels
 
 
-def _reduce(loss: Tensor, reduction: str, batch: int) -> Tensor:
+def _masked_nll(logp: Tensor, mask: np.ndarray, reduction: str = "sum") -> Tensor:
+    """-sum(logp * mask), divided by the batch size under "mean": one scale, by -1 or -1/B."""
     if reduction not in REDUCTIONS:
         raise ValueError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
-    if reduction == "mean":
-        return nd.scale_by_scalar(loss, 1.0 / batch)
-    return loss
-
-
-def _masked_nll(logp: Tensor, mask: np.ndarray) -> Tensor:
-    """-sum(logp * mask): the negative log-probabilities the mask selects, weighted."""
-    return nd.scale_by_scalar(nd.sum(nd.mul(logp, Tensor(mask))), -1.0)
+    scale = -1.0 / logp.shape[0] if reduction == "mean" else -1.0
+    return nd.scale_by_scalar(nd.sum(nd.mul(logp, Tensor(mask))), scale)
 
 
 def _check_keys(keys: KeyBatch, labels: np.ndarray, b: int, rows: np.ndarray, dim: int, what: str) -> None:
@@ -112,7 +110,7 @@ def ce(logits: Tensor, labels: np.ndarray, reduction: str = "sum") -> Tensor:
         raise nd.ShapeError(f"{labels.shape[0]} labels for batch of {b}")
     onehot = np.zeros((b, c))
     onehot[np.arange(b), labels] = 1.0
-    return _reduce(_masked_nll(nd.log_softmax_row(logits), onehot), reduction, b)
+    return _masked_nll(nd.log_softmax_row(logits), onehot, reduction)
 
 
 def info_nce(q: Tensor, keys: KeyBatch, positive_index: int, tau: float) -> Tensor:
@@ -166,7 +164,7 @@ def cce(
         mask[:, 0] = positives.sum(axis=1)
     else:
         mask = positives.astype(float)
-    return _reduce(_masked_nll(nd.log_softmax_row(sims), mask), reduction, b)
+    return _masked_nll(nd.log_softmax_row(sims), mask, reduction)
 
 
 def ccl(
@@ -182,7 +180,7 @@ def ccl(
     labels = np.asarray(labels, dtype=np.int64)
     _check_keys(keys, labels, b, keys.z_keys, L, "projection")
     sims = nd.scale_by_scalar(nd.row_dot_slab(z_q, keys.z_keys), 1.0 / tau)
-    return _reduce(_masked_nll(nd.log_softmax_row(sims), keys.positive_mask(labels).astype(float)), reduction, b)
+    return _masked_nll(nd.log_softmax_row(sims), keys.positive_mask(labels).astype(float), reduction)
 
 
 def joint_total(terms: LossTerms) -> Tensor:
@@ -205,3 +203,25 @@ def joint_total(terms: LossTerms) -> Tensor:
         total = nd.add(total, p)
     terms.total = total
     return total
+
+
+def objective(
+    h: Tensor, z: Tensor, logits: Tensor, labels: np.ndarray, W: Tensor, keys: KeyBatch | None, cfg: LossesConfig
+) -> LossTerms:
+    """The enabled terms of the joint loss and their total, as ``cfg`` weights them.
+
+    ``h`` is the raw feature (``cce`` normalizes it), ``z`` the unit
+    projection, ``W`` the classifier prototypes; ``keys`` may be None
+    when both contrastive terms are off. ``terms.total`` is set.
+    """
+    terms = LossTerms(weights=cfg.weights())
+    w_ce, w_cce, w_ccl = terms.weights
+    if w_ce != 0.0:
+        terms.ce = ce(logits, labels, reduction=cfg.reduction)
+    if w_cce != 0.0:
+        h_norm = nd.row_l2_normalize(h)
+        terms.cce = cce(h_norm, labels, W, keys, cfg.tau, variant=cfg.cce_variant, reduction=cfg.reduction)
+    if w_ccl != 0.0:
+        terms.ccl = ccl(z, labels, keys, cfg.tau, reduction=cfg.reduction)
+    joint_total(terms)
+    return terms

@@ -118,6 +118,11 @@ def _features_and_logits(params: ModelParams, x: Tensor) -> tuple[Tensor, Tensor
     return h, logits
 
 
+def _project(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The projector head: affine map onto the unit sphere."""
+    return nd.row_l2_normalize(nd.add(nd.matmul(h, w), b))
+
+
 def forward_query(params: ModelParams, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     """Live forward pass: features h, unit projection z, class logits.
 
@@ -126,8 +131,7 @@ def forward_query(params: ModelParams, x: Tensor) -> tuple[Tensor, Tensor, Tenso
     gradient tape.
     """
     h, logits = _features_and_logits(params, x)
-    z = nd.row_l2_normalize(nd.add(nd.matmul(h, params.projector_w), params.projector_b))
-    return h, z, logits
+    return h, _project(h, params.projector_w, params.projector_b), logits
 
 
 def forward_logits(params: ModelParams, x: Tensor) -> Tensor:
@@ -135,18 +139,15 @@ def forward_logits(params: ModelParams, x: Tensor) -> Tensor:
     return _features_and_logits(params, x)[1]
 
 
-def forward_key(twin: MomentumTwin, x: Tensor) -> tuple[Tensor, Tensor]:
-    """Key path through the twin: unit-normalized h and z, detached.
+def forward_key(twin: MomentumTwin, x: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """Key path through the twin: unit-normalized h and z, as plain arrays.
 
     Both outputs are scaled to unit rows (keys are compared by dot
-    product) and carry no tape history, so no gradient can reach either
-    the twin or the live parameters.
+    product) and leave as arrays, not tensors, so no gradient can reach
+    either the twin or the live parameters.
     """
-    x = x.detach()
     h = _encode(twin.encoder_layers, x)
-    h_norm = nd.row_l2_normalize(h)
-    z = nd.row_l2_normalize(nd.add(nd.matmul(h, twin.projector_w), twin.projector_b))
-    return h_norm.detach(), z.detach()
+    return nd.row_l2_normalize(h).data, _project(h, twin.projector_w, twin.projector_b).data
 
 
 def init_twin(params: ModelParams, m: float) -> MomentumTwin:

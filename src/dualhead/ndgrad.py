@@ -70,17 +70,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        """A tape-free view of this tensor's current value."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.grad_enabled = False
-        out._parents = ()
-        out._backward = None
-        out._op = "leaf"
-        return out
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -94,19 +83,19 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar, got shape {self.shape}")
         topo: list[Tensor] = []
-        visited: set[int] = set()
+        visited: set[Tensor] = set()  # Tensor defines no __eq__, so membership is identity
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited:
+                if parent not in visited:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):

@@ -5,8 +5,9 @@ One training step runs a fixed pipeline:
 1. live forward pass (features, projection, logits);
 2. key forward pass for the same batch through the momentum twin;
 3. one batched key draw for all queries, slot 0 = each query's own key;
-4. enabled losses, backward, SGD-with-momentum update (weight decay
-   folded into the gradient, boosted learning rate for the heads);
+4. ``losses.objective`` (the enabled terms and their total), backward,
+   SGD-with-momentum update (weight decay folded into the gradient,
+   boosted learning rate for the heads);
 5. momentum update of the twin (after the optimizer step, so keys always
    come from the slow weights);
 6. the batch's keys join the pool (queue append, or snapshot mixing in
@@ -36,7 +37,7 @@ from . import losses as losses_mod
 from . import model as model_mod
 from . import ndgrad as nd
 from .config import RunConfig
-from .keypool import EmptyPoolError, MemoryBank, MocoQueues
+from .keypool import MemoryBank, MocoQueues
 from .model import ModelDims, ModelParams, MomentumTwin
 from .ndgrad import NonFiniteError, Tensor
 
@@ -140,10 +141,6 @@ def sgd_apply(params: ModelParams, opt: OptimizerState) -> None:
             raise NonFiniteError(f"parameter {name} became non-finite after the optimizer step")
 
 
-def _row_normalize_np(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
-
-
 def step(
     params: ModelParams,
     twin: MomentumTwin,
@@ -155,7 +152,7 @@ def step(
 ) -> losses_mod.LossTerms:
     """One optimization step over (features, labels, example_ids)."""
     x_np, y, ids = batch
-    w_ce, w_cce, w_ccl = cfg.losses.weights()
+    _, w_cce, w_ccl = cfg.losses.weights()
     contrastive = w_cce != 0.0 or w_ccl != 0.0
     bank_mode = isinstance(pool, MemoryBank)
 
@@ -163,36 +160,20 @@ def step(
     h_q, z_q, logits = model_mod.forward_query(params, x)
 
     keys = None
-    h_k = z_k = None
     if contrastive:
-        if len(pool) == 0:
-            raise EmptyPoolError("contrastive terms enabled but the key pool is empty; run warmup first")
         if bank_mode:
             keys = pool.sample(cfg.keys.keys_per_class, *pool.entry(ids), rng, uniform=cfg.keys.bank_uniform)
         else:
-            h_k_t, z_k_t = model_mod.forward_key(twin, x)
-            h_k, z_k = h_k_t.data, z_k_t.data
+            h_k, z_k = model_mod.forward_key(twin, x)
             keys = pool.sample(cfg.keys.keys_per_class, h_k, z_k, y, rng)
 
-    terms = losses_mod.LossTerms(weights=(w_ce, w_cce, w_ccl))
-    if w_ce != 0.0:
-        terms.ce = losses_mod.ce(logits, y, reduction=cfg.losses.reduction)
-    if w_cce != 0.0:
-        h_q_norm = nd.row_l2_normalize(h_q)
-        terms.cce = losses_mod.cce(
-            h_q_norm, y, params.classifier_W, keys, cfg.losses.tau,
-            variant=cfg.losses.cce_variant, reduction=cfg.losses.reduction,
-        )
-    if w_ccl != 0.0:
-        terms.ccl = losses_mod.ccl(z_q, y, keys, cfg.losses.tau, reduction=cfg.losses.reduction)
-
-    total = losses_mod.joint_total(terms)
-    total.backward()
+    terms = losses_mod.objective(h_q, z_q, logits, y, params.classifier_W, keys, cfg.losses)
+    terms.total.backward()
     sgd_apply(params, opt)
 
     if contrastive:
         if bank_mode:
-            pool.update(ids, _row_normalize_np(h_q.data), z_q.data)
+            pool.update(ids, nd.row_l2_normalize(h_q).data, z_q.data)
         else:
             model_mod.momentum_update(twin, params)
             pool.enqueue(h_k, z_k, y)
@@ -351,15 +332,10 @@ def fit(cfg: RunConfig) -> TrainRun:
 def _fill_through_twin(twin: MomentumTwin, pool, ds: data_mod.Dataset, x: np.ndarray, y: np.ndarray) -> None:
     """Key forward into the pool: a snapshot of every example of ds (bank), or the rows x (queues)."""
     if isinstance(pool, MocoQueues):
-        h_t, z_t = model_mod.forward_key(twin, Tensor(x))
-        pool.enqueue(h_t.data, z_t.data, y)
+        pool.enqueue(*model_mod.forward_key(twin, Tensor(x)), y)
         return
-    h_parts, z_parts = [], []
-    for lo in range(0, len(ds), 256):
-        h_t, z_t = model_mod.forward_key(twin, Tensor(ds.features[lo:lo + 256]))
-        h_parts.append(h_t.data)
-        z_parts.append(z_t.data)
-    pool.initialize(np.vstack(h_parts), np.vstack(z_parts))
+    parts = [model_mod.forward_key(twin, Tensor(ds.features[lo:lo + 256])) for lo in range(0, len(ds), 256)]
+    pool.initialize(np.vstack([h for h, _ in parts]), np.vstack([z for _, z in parts]))
 
 
 def _fmt(x: float | None) -> str:

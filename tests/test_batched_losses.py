@@ -5,19 +5,35 @@ as a reference oracle: one small graph per query, with the query's live
 feature concatenated into slot 0 of its bank. On the gradcheck loss
 fixtures the batched (B x (K+1)) losses must match them in value and in
 every parameter gradient.
+
+``_reduce`` is the batch reduction as a separate scale, the form each term
+had before the reduction was folded into its one ``scale_by_scalar``; the
+folded terms must equal that chain bit for bit.
 """
 
 import numpy as np
 import pytest
 
+import dualhead.losses as losses_mod
 import dualhead.model as model_mod
 import dualhead.ndgrad as nd
-from dualhead.gradcheck import _loss_fixture
+from dualhead.config import LossesConfig
+from dualhead.gradcheck import _loss_fixture, _random_key_batch
 from dualhead.keypool import KeyBatch
-from dualhead.losses import CCE_VARIANTS, REDUCTIONS, _check_labels, _check_tau, _reduce, ccl, cce
+from dualhead.losses import CCE_VARIANTS, REDUCTIONS, _check_labels, _check_tau, ccl, cce, objective
+from dualhead.model import ModelDims
 from dualhead.ndgrad import Tensor
 
 MATCH_TOL = 1e-12
+
+
+def _reduce(loss, reduction, batch):
+    """The batch reduction as it stood before it was folded into each term's scale."""
+    if reduction not in REDUCTIONS:
+        raise ValueError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
+    if reduction == "mean":
+        return nd.scale_by_scalar(loss, 1.0 / batch)
+    return loss
 
 
 def loop_cce(h_q_norm, labels, W, keys, tau, variant="literal", reduction="sum"):
@@ -117,6 +133,68 @@ def test_batched_matches_loop_on_a_training_sized_batch():
         assert abs(got - want) <= MATCH_TOL * max(1.0, abs(want))
     got, want = ccl(z_q, y, keys, 0.07).item(), loop_ccl(z_q, y, keys, 0.07).item()
     assert abs(got - want) <= MATCH_TOL * max(1.0, abs(want))
+
+
+def _two_scale_masked_nll(logp, mask, reduction="sum"):
+    """The unfolded chain: x(-1) on the masked sum, then the reduction's own x(1/B)."""
+    return _reduce(nd.scale_by_scalar(nd.sum(nd.mul(logp, Tensor(mask))), -1.0), reduction, logp.shape[0])
+
+
+# One enabled term each, so the objective's total is that term itself.
+SINGLE_TERMS = {
+    "ce": dict(cce=0.0, ccl=0.0),
+    "cce_literal": dict(ce=0.0, ccl=0.0, cce_variant="literal"),
+    "cce_per_key": dict(ce=0.0, ccl=0.0, cce_variant="per_key"),
+    "ccl": dict(ce=0.0, cce=0.0),
+}
+
+
+def batch_fixture(seed, b):
+    """A gradcheck-sized model and key batch for b queries (b not a power of two, so 1/b is inexact)."""
+    rng = np.random.default_rng(seed)
+    dims = ModelDims(in_dim=3, hidden=(4,), feature_dim=6, class_count=3, projector_dim=5)
+    params = model_mod.init_params(dims, rng)
+    x = Tensor(rng.normal(size=(b, dims.in_dim)))
+    y = rng.integers(0, dims.class_count, size=b)
+    keys = _random_key_batch(rng, int(rng.integers(3, 9)), dims.feature_dim, dims.projector_dim, dims.class_count, y)
+    return params, x, y, keys
+
+
+def objective_value_and_grads(params, x, y, keys, cfg):
+    h, z, logits = model_mod.forward_query(params, x)
+    out = objective(h, z, logits, y, params.classifier_W, keys, cfg).total
+    out.backward()
+    grads = {}
+    for name, t in params.named_parameters():
+        grads[name] = np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+        t.zero_grad()
+    return out.item(), grads
+
+
+@pytest.mark.parametrize("reduction", REDUCTIONS)
+@pytest.mark.parametrize("term", SINGLE_TERMS)
+def test_folded_reduction_is_bitwise_the_two_scale_chain(term, reduction, monkeypatch):
+    cfg = LossesConfig(reduction=reduction, **SINGLE_TERMS[term])
+    for seed, b in enumerate((3, 5, 6, 7, 16) * 4):
+        params, x, y, keys = batch_fixture(seed, b)
+        got, got_grads = objective_value_and_grads(params, x, y, keys, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(losses_mod, "_masked_nll", _two_scale_masked_nll)
+            want, want_grads = objective_value_and_grads(params, x, y, keys, cfg)
+        assert got == want, (seed, got, want)
+        for name, g in want_grads.items():
+            np.testing.assert_array_equal(got_grads[name], g, err_msg=f"seed {seed}, {name}")
+
+
+@pytest.mark.parametrize("reduction", REDUCTIONS)
+@pytest.mark.parametrize("term", SINGLE_TERMS)
+def test_each_term_ends_in_one_scale_after_its_sum(term, reduction):
+    params, x, y, keys = batch_fixture(0, 5)
+    cfg = LossesConfig(reduction=reduction, **SINGLE_TERMS[term])
+    h, z, logits = model_mod.forward_query(params, x)
+    out = objective(h, z, logits, y, params.classifier_W, keys, cfg).total
+    assert out._op == "scale_by_scalar"
+    assert out._parents[0]._op == "sum"
 
 
 class TestKeyChecks:

@@ -338,6 +338,20 @@ class TestUnitNormChecks:
             bank.update(np.array([0, 1]), np.array([unit([1, 0, 0]), [0.0, 2.0, 0.0]]), np.eye(2))
         np.testing.assert_array_equal(bank.h_snap, before)
 
+    @pytest.mark.parametrize("opposite", ["h", "z"])
+    def test_update_that_mixes_to_zero_fails_and_writes_nothing(self, opposite):
+        # With m = 0.5, an update opposite a snapshot mixes that row to zero.
+        bank = TestMemoryBank().make_bank()
+        before = bank.h_snap.copy(), bank.z_snap.copy()
+        ids = np.array([2, 4])
+        h_new = -bank.h_snap[ids] if opposite == "h" else bank.h_snap[ids]
+        z_new = -bank.z_snap[ids] if opposite == "z" else bank.z_snap[ids]
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match=f"{opposite}_snapshot must be unit-norm, got \\|v\\|=nan"):
+                bank.update(ids, h_new, z_new)
+        np.testing.assert_array_equal(bank.h_snap, before[0])
+        np.testing.assert_array_equal(bank.z_snap, before[1])
+
     def test_gathered_sample_rejects_a_non_unit_query_key(self):
         pool = MocoQueues(class_count=1, queue_size=4)
         pool.enqueue(*rows([entry(0, seed=1)]))

@@ -260,11 +260,9 @@ class TestJointTotal:
         for t in wrt:
             t.zero_grad()
 
-        from dualhead.gradcheck import _loss_case
-
         summed = [np.zeros_like(g) for g in total_grads]
         for kind in ("ce", "cce_literal", "ccl"):
-            fwd, wrt2 = _loss_case(kind)(np.random.default_rng(13))
+            fwd, wrt2 = LOSS_CASES[kind](np.random.default_rng(13))
             fwd().backward()
             for acc, t in zip(summed, wrt2):
                 if t.grad is not None:

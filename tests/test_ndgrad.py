@@ -38,14 +38,6 @@ class TestTensorBasics:
         with pytest.raises(ShapeError):
             nd.relu(t).backward()
 
-    def test_detach_drops_tape(self):
-        t = Tensor([[1.0, 2.0]], grad_enabled=True)
-        out = nd.relu(t).detach()
-        assert not out.grad_enabled
-        s = nd.sum(nd.mul(out, out))
-        s.backward()
-        assert t.grad is None
-
 
 class TestMatmul:
     def test_identity(self):

@@ -1,6 +1,8 @@
 """Training-loop semantics: optimizer algebra, step pipeline replay,
 warmup audits, determinism, and evaluation."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from dualhead.config import RunConfig, validate_config
 from dualhead.data import make_blobs
 from dualhead.keypool import EmptyPoolError, MemoryBank, MocoQueues
 from dualhead.model import ModelDims, ModelParams, forward_key, init_params, init_twin
-from dualhead.ndgrad import Tensor
+from dualhead.ndgrad import DegenerateRowError, Tensor
 from dualhead.trainer import (
     OptimizerState,
     _Batcher,
@@ -178,6 +180,42 @@ class TestStep:
         with pytest.raises(EmptyPoolError):
             step(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
 
+    def test_bank_mode_degenerate_feature_is_a_numerical_failure(self):
+        # cce off, so only the bank update normalizes h; a zero feature row must
+        # raise DegenerateRowError (exit code 2) and leave the bank untouched.
+        cfg = small_cfg(keys__generator="membank", losses__cce=0.0)
+        _, params, twin, pool, opt, batch = self.setup_run(cfg)
+        w, b = params.encoder_layers[-1]
+        w.data[:] = 0.0
+        b.data[:] = 0.0
+        before = pool.h_snap.copy(), pool.z_snap.copy()
+        with pytest.raises(DegenerateRowError):
+            step(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
+        np.testing.assert_array_equal(pool.h_snap, before[0])
+        np.testing.assert_array_equal(pool.z_snap, before[1])
+
+    def test_step_and_gradcheck_build_the_loss_through_objective(self, monkeypatch):
+        import dualhead.losses as losses_mod
+        from dualhead.gradcheck import LOSS_CASES
+
+        callers = []
+        objective = losses_mod.objective
+
+        def spy(*args, **kwargs):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return objective(*args, **kwargs)
+
+        monkeypatch.setattr(losses_mod, "objective", spy)
+        cfg = small_cfg()
+        _, params, twin, pool, opt, batch = self.setup_run(cfg)
+        step(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
+        assert callers == ["dualhead.trainer"]
+        for name, build in LOSS_CASES.items():
+            callers.clear()
+            forward, _ = build(np.random.default_rng(0))
+            forward()
+            assert callers == ([] if name == "info_nce" else ["dualhead.gradcheck"]), name
+
     def test_scripted_replay_of_all_stages(self):
         """Independent numpy replay of stages 1-6 on a fixed seed."""
         cfg = small_cfg()
@@ -288,7 +326,7 @@ class TestWarmup:
         for c, newest_ids in ((0, [3, 4]), (1, [8, 9])):
             h_t, _ = forward_key(twin, Tensor(ds.features[newest_ids]))
             got = pool.entries(c)
-            for row, e in zip(h_t.data, got):
+            for row, e in zip(h_t, got):
                 np.testing.assert_allclose(e.h_key, row, atol=1e-15)
 
     def test_bank_mode_snapshots_every_example(self):
