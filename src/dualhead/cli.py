@@ -39,12 +39,8 @@ ABLATION_COMBOS: tuple[tuple[float, float, float], ...] = (
     (1.0, 1.0, 1.0),
 )
 
-SWEEP_AXES = {
-    "keys_per_class": ("keys", "keys_per_class", int),
-    "projector_dim": ("model", "projector_dim", int),
-    "queue_size": ("keys", "queue_size", int),
-    "tau": ("losses", "tau", float),
-}
+# Sweep axis -> its config section; values parse as ``--set section.axis=value`` does.
+SWEEP_AXES = {"keys_per_class": "keys", "projector_dim": "model", "queue_size": "keys", "tau": "losses"}
 
 
 def _effective_config(args) -> RunConfig:
@@ -163,28 +159,23 @@ def cmd_sweep(args) -> int:
     base = _effective_config(args)
     if args.axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {args.axis!r}; choose from {sorted(SWEEP_AXES)}")
-    section, key, cast = SWEEP_AXES[args.axis]
-    try:
-        values = sorted(cast(v) for v in args.values)
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep value for axis {args.axis}: {exc}") from exc
+    section = SWEEP_AXES[args.axis]
     out_dir = _run_dir(base, f"runs/sweep-{config_hash(base)[:8]}")
-    configs: list[RunConfig] = []
-    order: list[tuple[float, int]] = []
-    for value in values:
+    rows: list[tuple[float, int, RunConfig]] = []
+    for raw in args.values:
         for seed in args.seeds:
             cfg = copy.deepcopy(base)
-            setattr(getattr(cfg, section), key, value)
+            apply_overrides(cfg, [f"{section}.{args.axis}={raw}"])
             cfg.seed = seed
-            configs.append(validate_config(cfg))
-            order.append((value, seed))
-    runs = _fit_many(configs, args.jobs)
+            rows.append((getattr(getattr(cfg, section), args.axis), seed, validate_config(cfg)))
+    rows.sort(key=lambda row: row[0])  # stable: seeds keep their order within a value
+    runs = _fit_many([cfg for _, _, cfg in rows], args.jobs)
     lines = ["axis,value,seed,final_val_acc,best_val_acc"]
-    for (value, seed), run in zip(order, runs):
+    for (value, seed, _), run in zip(rows, runs):
         lines.append(f"{args.axis},{value},{seed},{_fmt(run.final_val_acc)},{_fmt(run.best_val_acc)}")
     _write_text(out_dir / "sweep.csv", "\n".join(lines) + "\n")
     print("\n".join(lines))
-    print(f"sweep: {len(configs)} runs -> {out_dir / 'sweep.csv'}")
+    print(f"sweep: {len(rows)} runs -> {out_dir / 'sweep.csv'}")
     return EXIT_OK
 
 

@@ -1,9 +1,11 @@
 """Run configuration: defaults, INI file parsing, overrides, validation.
 
 The file format is INI with one section per concern (run / dataset /
-model / keys / losses / optimizer). Parsing is strict: an unknown section
-or key is fatal, so ablation tables can be trusted to test what their
-configs say. ``--set section.key=value`` overrides use the same schema.
+model / keys / losses / optimizer). The dataclasses below are the schema:
+the sections, keys, defaults, parsers and serialized order are all read
+off them. Parsing is strict: an unknown section or key is fatal, so
+ablation tables can be trusted to test what their configs say.
+``--set section.key=value`` overrides use the same schema.
 
 Defaults encode the reference operating point: tau 0.07, key momentum
 0.999, bank momentum 0.5, 10x head learning rate, SGD momentum 0.9, all
@@ -15,7 +17,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 
 class ConfigError(ValueError):
@@ -142,69 +144,55 @@ def _parse_opt_str(s: str) -> str | None:
     return None if s == "" else s
 
 
-_PARSERS = {
-    ("run", "seed"): int,
-    ("run", "log_every"): int,
-    ("run", "eval_every"): int,
+# Keys whose text form differs from their default's type; every other key
+# parses by the type of its default in RunConfig().
+_IRREGULAR_PARSERS = {
     ("run", "out"): _parse_opt_str,
-    ("dataset", "kind"): str.strip,
-    ("dataset", "classes"): int,
-    ("dataset", "per_class"): int,
-    ("dataset", "dim"): int,
-    ("dataset", "separation"): float,
-    ("dataset", "noise"): float,
     ("dataset", "seed"): _parse_opt_int,
-    ("dataset", "path"): str.strip,
-    ("dataset", "delimiter"): str,
-    ("dataset", "label_column"): int,
-    ("dataset", "has_header"): _parse_bool,
-    ("dataset", "train_fraction"): float,
-    ("dataset", "sampling_rate"): float,
+    ("dataset", "delimiter"): str,  # kept as written, so an override can set a space or a tab
     ("model", "hidden"): _parse_hidden,
-    ("model", "feature_dim"): int,
-    ("model", "projector_dim"): int,
-    ("model", "classifier_bias"): _parse_bool,
-    ("keys", "generator"): str.strip,
-    ("keys", "queue_size"): int,
-    ("keys", "keys_per_class"): int,
-    ("keys", "momentum"): float,
-    ("keys", "bank_momentum"): float,
-    ("keys", "bank_uniform"): _parse_bool,
-    ("keys", "warmup_mode"): str.strip,
-    ("losses", "tau"): float,
-    ("losses", "ce"): float,
-    ("losses", "cce"): float,
-    ("losses", "ccl"): float,
-    ("losses", "cce_variant"): str.strip,
-    ("losses", "reduction"): str.strip,
-    ("optimizer", "base_lr"): float,
-    ("optimizer", "head_lr_multiplier"): float,
-    ("optimizer", "sgd_momentum"): float,
-    ("optimizer", "weight_decay"): float,
-    ("optimizer", "iterations"): int,
-    ("optimizer", "batch_size"): int,
     ("optimizer", "schedule"): _parse_schedule,
 }
+_PARSER_BY_TYPE = {bool: _parse_bool, int: int, float: float, str: str.strip}
 
-_SECTION_ATTR = {
-    "dataset": "dataset",
-    "model": "model",
-    "keys": "keys",
-    "losses": "losses",
-    "optimizer": "optimizer",
-}
+
+def _section(cfg: RunConfig, name: str):
+    """The object holding a section's keys: cfg itself for [run], else its sub-dataclass."""
+    return cfg if name == "run" else getattr(cfg, name)
+
+
+def _build_parsers() -> dict[str, dict[str, object]]:
+    """Section -> key -> parser, in serialization order, read off the dataclasses.
+
+    [run] holds RunConfig's own scalar fields; each dataclass-valued field
+    of RunConfig is a section of its own.
+    """
+    defaults = RunConfig()
+    names = ["run"] + [f.name for f in fields(defaults) if is_dataclass(getattr(defaults, f.name))]
+    table: dict[str, dict[str, object]] = {}
+    for name in names:
+        obj = _section(defaults, name)
+        table[name] = {}
+        for f in fields(obj):
+            default = getattr(obj, f.name)
+            if not is_dataclass(default):
+                parser = _IRREGULAR_PARSERS.get((name, f.name)) or _PARSER_BY_TYPE[type(default)]
+                table[name][f.name] = parser
+    return table
+
+
+_PARSERS = _build_parsers()
 
 
 def _assign(cfg: RunConfig, section: str, key: str, raw: str) -> None:
-    parser = _PARSERS.get((section, key))
+    parser = _PARSERS.get(section, {}).get(key)
     if parser is None:
         raise ConfigError(f"unknown config key [{section}] {key}")
     try:
         value = parser(raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({exc})") from exc
-    target = cfg if section == "run" else getattr(cfg, _SECTION_ATTR[section])
-    setattr(target, key, value)
+    setattr(_section(cfg, section), key, value)
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -221,7 +209,7 @@ def load_config(path: str | None) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     for section in parser.sections():
-        if section != "run" and section not in _SECTION_ATTR:
+        if section not in _PARSERS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
             _assign(cfg, section, key, raw)
@@ -261,18 +249,9 @@ def serialize_config(cfg: RunConfig) -> str:
     written next to results.
     """
     out = io.StringIO()
-    sections: list[tuple[str, object]] = [
-        ("run", cfg),
-        ("dataset", cfg.dataset),
-        ("model", cfg.model),
-        ("keys", cfg.keys),
-        ("losses", cfg.losses),
-        ("optimizer", cfg.optimizer),
-    ]
-    run_keys = ("seed", "log_every", "eval_every", "out")
-    for name, obj in sections:
+    for name, keys in _PARSERS.items():
+        obj = _section(cfg, name)
         out.write(f"[{name}]\n")
-        keys = run_keys if name == "run" else tuple(f.name for f in fields(obj))
         for key in keys:
             out.write(f"{key} = {_fmt_value(getattr(obj, key))}\n")
         out.write("\n")

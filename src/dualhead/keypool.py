@@ -117,9 +117,6 @@ class MocoQueues:
     def __len__(self) -> int:
         return int(self._fill.sum())
 
-    def class_sizes(self) -> list[int]:
-        return self._fill.tolist()
-
     def entries(self, label: int) -> list[KeyEntry]:
         """Copies of one class's keys, oldest first."""
         slots = (self._head[label] + np.arange(self._fill[label])) % self.queue_size

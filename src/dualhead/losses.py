@@ -50,17 +50,19 @@ class NoEnabledTermError(ValueError):
 
 @dataclass
 class LossTerms:
-    """Scalar loss tensors plus the weights selecting which enter the total."""
+    """Scalar loss tensors plus the weights selecting which enter the total.
+
+    ``h_norm`` is the unit-normalized feature ``objective`` built for
+    ``cce`` (None when ``cce`` is off), so a caller needing it again
+    reuses it instead of normalizing twice.
+    """
 
     ce: Tensor | None = None
     cce: Tensor | None = None
     ccl: Tensor | None = None
     total: Tensor | None = None
     weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
-
-    @property
-    def enabled(self) -> tuple[bool, bool, bool]:
-        return tuple(w != 0.0 for w in self.weights)
+    h_norm: Tensor | None = None
 
     def values(self) -> dict[str, float | None]:
         def val(t: Tensor | None) -> float | None:
@@ -212,15 +214,16 @@ def objective(
 
     ``h`` is the raw feature (``cce`` normalizes it), ``z`` the unit
     projection, ``W`` the classifier prototypes; ``keys`` may be None
-    when both contrastive terms are off. ``terms.total`` is set.
+    when both contrastive terms are off. ``terms.total`` is set, and
+    ``terms.h_norm`` when ``cce`` is on.
     """
     terms = LossTerms(weights=cfg.weights())
     w_ce, w_cce, w_ccl = terms.weights
     if w_ce != 0.0:
         terms.ce = ce(logits, labels, reduction=cfg.reduction)
     if w_cce != 0.0:
-        h_norm = nd.row_l2_normalize(h)
-        terms.cce = cce(h_norm, labels, W, keys, cfg.tau, variant=cfg.cce_variant, reduction=cfg.reduction)
+        terms.h_norm = nd.row_l2_normalize(h)
+        terms.cce = cce(terms.h_norm, labels, W, keys, cfg.tau, variant=cfg.cce_variant, reduction=cfg.reduction)
     if w_ccl != 0.0:
         terms.ccl = ccl(z, labels, keys, cfg.tau, reduction=cfg.reduction)
     joint_total(terms)

@@ -216,17 +216,23 @@ def load_checkpoint(path: str) -> ModelParams:
         doc = json.load(fh)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format: {doc.get('format')!r}")
-    dims = ModelDims(
-        in_dim=int(doc["dims"]["in_dim"]),
-        hidden=tuple(int(h) for h in doc["dims"]["hidden"]),
-        feature_dim=int(doc["dims"]["feature_dim"]),
-        class_count=int(doc["dims"]["class_count"]),
-        projector_dim=int(doc["dims"]["projector_dim"]),
-    )
-    tensors = doc["tensors"]
+    dims_doc = doc.get("dims", {})
+    try:
+        dims = ModelDims(
+            in_dim=int(dims_doc["in_dim"]),
+            hidden=tuple(int(h) for h in dims_doc["hidden"]),
+            feature_dim=int(dims_doc["feature_dim"]),
+            class_count=int(dims_doc["class_count"]),
+            projector_dim=int(dims_doc["projector_dim"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"checkpoint {path} has no dims key {exc.args[0]!r}") from None
+    tensors = doc.get("tensors", {})
 
     def take(name: str) -> Tensor:
-        entry = tensors[name]
+        entry = tensors.get(name, {})
+        if "data" not in entry or "shape" not in entry:
+            raise ValueError(f"checkpoint {path} has no tensor {name!r} with data and shape")
         arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
         return Tensor(arr, grad_enabled=True)
 

@@ -36,7 +36,7 @@ from . import data as data_mod
 from . import losses as losses_mod
 from . import model as model_mod
 from . import ndgrad as nd
-from .config import RunConfig
+from .config import OptimizerConfig, RunConfig
 from .keypool import MemoryBank, MocoQueues
 from .model import ModelDims, ModelParams, MomentumTwin
 from .ndgrad import NonFiniteError, Tensor
@@ -44,27 +44,26 @@ from .ndgrad import NonFiniteError, Tensor
 
 @dataclass
 class OptimizerState:
-    """SGD-with-momentum state: one velocity buffer per parameter.
+    """SGD-with-momentum state of one run, built from its ``OptimizerConfig``.
 
     Weight decay is classic (added to the gradient before the velocity
     update). Head parameters (classifier and projector) train at
-    base_lr * head_lr_multiplier; encoder parameters at base_lr. The
-    schedule is a list of (iteration, multiplier) decay points applied
-    once when that iteration starts.
+    base_lr * head_lr_multiplier; encoder parameters at base_lr. Besides
+    ``config`` the state holds only what a run adds: the resolved
+    schedule of (iteration, multiplier) decay points, each applied once
+    when its iteration starts; one velocity buffer per parameter; the
+    head parameter names; and the running learning-rate multiplier.
     """
 
-    base_lr: float
-    head_lr_multiplier: float = 10.0
-    sgd_momentum: float = 0.9
-    weight_decay: float = 1e-4
+    config: OptimizerConfig
     schedule: tuple[tuple[int, float], ...] = ()
     velocities: dict[str, np.ndarray] = field(default_factory=dict)
     head_names: set[str] = field(default_factory=set)
     lr_mult: float = 1.0
 
     def effective_lr(self, name: str) -> float:
-        boost = self.head_lr_multiplier if name in self.head_names else 1.0
-        return self.base_lr * self.lr_mult * boost
+        boost = self.config.head_lr_multiplier if name in self.head_names else 1.0
+        return self.config.base_lr * self.lr_mult * boost
 
 
 @dataclass
@@ -104,13 +103,7 @@ def resolve_schedule(spec, iterations: int) -> tuple[tuple[int, float], ...]:
 
 
 def init_optimizer(params: ModelParams, cfg: RunConfig) -> OptimizerState:
-    opt = OptimizerState(
-        base_lr=cfg.optimizer.base_lr,
-        head_lr_multiplier=cfg.optimizer.head_lr_multiplier,
-        sgd_momentum=cfg.optimizer.sgd_momentum,
-        weight_decay=cfg.optimizer.weight_decay,
-        schedule=resolve_schedule(cfg.optimizer.schedule, cfg.optimizer.iterations),
-    )
+    opt = OptimizerState(cfg.optimizer, resolve_schedule(cfg.optimizer.schedule, cfg.optimizer.iterations))
     opt.velocities = {name: np.zeros_like(t.data) for name, t in params.named_parameters()}
     opt.head_names = params.head_names()
     return opt
@@ -131,9 +124,9 @@ def sgd_apply(params: ModelParams, opt: OptimizerState) -> None:
     for name, t in params.named_parameters():
         if t.grad is None:
             continue
-        g = t.grad + opt.weight_decay * t.data
+        g = t.grad + opt.config.weight_decay * t.data
         v = opt.velocities[name]
-        v *= opt.sgd_momentum
+        v *= opt.config.sgd_momentum
         v += g
         t.data -= opt.effective_lr(name) * v
         t.zero_grad()
@@ -173,20 +166,15 @@ def step(
 
     if contrastive:
         if bank_mode:
-            pool.update(ids, nd.row_l2_normalize(h_q).data, z_q.data)
+            h_norm = terms.h_norm if terms.h_norm is not None else nd.row_l2_normalize(h_q)
+            pool.update(ids, h_norm.data, z_q.data)
         else:
             model_mod.momentum_update(twin, params)
             pool.enqueue(h_k, z_k, y)
     return terms
 
 
-def warmup(
-    params: ModelParams,
-    twin: MomentumTwin,
-    pool: MocoQueues | MemoryBank,
-    ds: data_mod.Dataset,
-    cfg: RunConfig,
-) -> None:
+def warmup(twin: MomentumTwin, pool: MocoQueues | MemoryBank, ds: data_mod.Dataset) -> None:
     """Fill the key pool with one gradient-free pass through the twin.
 
     Queue mode forwards the newest queue_size examples of each class (in
@@ -287,7 +275,7 @@ def fit(cfg: RunConfig) -> TrainRun:
     _, w_cce, w_ccl = cfg.losses.weights()
     contrastive = w_cce != 0.0 or w_ccl != 0.0
     if contrastive and cfg.keys.warmup_mode == "prefill":
-        warmup(params, twin, pool, train, cfg)
+        warmup(twin, pool, train)
 
     opt = init_optimizer(params, cfg)
     batcher = _Batcher(len(train), cfg.optimizer.batch_size, np.random.default_rng(s_batch))

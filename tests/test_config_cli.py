@@ -1,6 +1,8 @@
 """Config parsing contracts and the command-line surface end to end."""
 
 import json
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +124,163 @@ class TestConfigParsing:
             validate_config(cfg)
 
 
+# One valid, non-default text for every settable key.
+NON_DEFAULT = {
+    "run.seed": "7",
+    "run.log_every": "3",
+    "run.eval_every": "9",
+    "run.out": "runs/elsewhere",
+    "dataset.kind": "rings",
+    "dataset.classes": "4",
+    "dataset.per_class": "12",
+    "dataset.dim": "5",
+    "dataset.separation": "2.5",
+    "dataset.noise": "0.125",
+    "dataset.seed": "11",
+    "dataset.path": "table.csv",
+    "dataset.delimiter": ";",
+    "dataset.label_column": "2",
+    "dataset.has_header": "true",
+    "dataset.train_fraction": "0.6",
+    "dataset.sampling_rate": "0.25",
+    "model.hidden": "16,8",
+    "model.feature_dim": "7",
+    "model.projector_dim": "9",
+    "model.classifier_bias": "yes",
+    "keys.generator": "membank",
+    "keys.queue_size": "8",
+    "keys.keys_per_class": "3",
+    "keys.momentum": "0.99",
+    "keys.bank_momentum": "0.25",
+    "keys.bank_uniform": "on",
+    "keys.warmup_mode": "defer",
+    "losses.tau": "0.1",
+    "losses.ce": "0.5",
+    "losses.cce": "0",
+    "losses.ccl": "2.0",
+    "losses.cce_variant": "per_key",
+    "losses.reduction": "mean",
+    "optimizer.base_lr": "3e-3",
+    "optimizer.head_lr_multiplier": "1.0",
+    "optimizer.sgd_momentum": "0.5",
+    "optimizer.weight_decay": "0",
+    "optimizer.iterations": "40",
+    "optimizer.batch_size": "8",
+    "optimizer.schedule": "20:0.1,30:0.5",
+}
+
+# serialize_config(RunConfig()) as released: output directory names and
+# summary.json carry its hash, so neither may drift.
+DEFAULT_INI = (
+    "[run]\nseed = 0\nlog_every = 10\neval_every = 100\nout = \n\n"
+    "[dataset]\nkind = blobs\nclasses = 3\nper_class = 60\ndim = 4\nseparation = 6.0\nnoise = 1.0\nseed = \n"
+    "path = \ndelimiter = ,\nlabel_column = 0\nhas_header = false\ntrain_fraction = 0.7\nsampling_rate = 1.0\n\n"
+    "[model]\nhidden = 64\nfeature_dim = 32\nprojector_dim = 128\nclassifier_bias = false\n\n"
+    "[keys]\ngenerator = moco\nqueue_size = 32\nkeys_per_class = 2\nmomentum = 0.999\nbank_momentum = 0.5\n"
+    "bank_uniform = false\nwarmup_mode = prefill\n\n"
+    "[losses]\ntau = 0.07\nce = 1.0\ncce = 1.0\nccl = 1.0\ncce_variant = literal\nreduction = sum\n\n"
+    "[optimizer]\nbase_lr = 0.0001\nhead_lr_multiplier = 10.0\nsgd_momentum = 0.9\nweight_decay = 0.0001\n"
+    "iterations = 500\nbatch_size = 32\nschedule = auto\n\n"
+)
+DEFAULT_HASH = "d3dcdd0b5c22a3d82c1ca614df486ec3b046b227c267c9ee3059c58cd64dab65"
+
+
+def schema_keys() -> list[str]:
+    """Every settable key, read off the dataclasses: RunConfig's scalars are [run]."""
+    cfg = RunConfig()
+    keys, sections = [], []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            sections += [f"{f.name}.{g.name}" for g in fields(value)]
+        else:
+            keys.append(f"run.{f.name}")
+    return keys + sections
+
+
+def read_back(cfg: RunConfig, tmp_path) -> RunConfig:
+    path = tmp_path / "c.ini"
+    path.write_text(serialize_config(cfg))
+    return load_config(str(path))
+
+
+def field_value(cfg: RunConfig, dotted: str):
+    section, key = dotted.split(".")
+    return getattr(cfg if section == "run" else getattr(cfg, section), key)
+
+
+class TestSchema:
+    def test_table_covers_every_key(self):
+        assert len(schema_keys()) == 41
+        assert sorted(NON_DEFAULT) == sorted(schema_keys())
+
+    @pytest.mark.parametrize("dotted", sorted(NON_DEFAULT))
+    def test_every_key_round_trips(self, tmp_path, dotted):
+        cfg = RunConfig()
+        apply_overrides(cfg, [f"{dotted}={NON_DEFAULT[dotted]}"])
+        assert field_value(cfg, dotted) != field_value(RunConfig(), dotted)
+        again = read_back(cfg, tmp_path)
+        assert again == cfg
+        assert serialize_config(again) == serialize_config(cfg)
+        assert config_hash(again) == config_hash(cfg)
+
+    @pytest.mark.parametrize(
+        "dotted,text,value",
+        [
+            ("dataset.kind", " rings ", "rings"),
+            ("dataset.delimiter", "\t", "\t"),
+            ("run.out", "", None),
+            ("run.out", " d ", "d"),
+            ("dataset.seed", "none", None),
+            ("dataset.seed", "", None),
+            ("model.hidden", "", ()),
+            ("model.hidden", "none", ()),
+            ("optimizer.schedule", "none", "none"),
+            ("optimizer.schedule", "5:0.5", ((5, 0.5),)),
+            ("keys.bank_uniform", "Off", False),
+            ("optimizer.iterations", " 12 ", 12),
+            ("losses.tau", "1e-1", 0.1),
+        ],
+    )
+    def test_text_forms(self, dotted, text, value):
+        cfg = RunConfig()
+        apply_overrides(cfg, [f"{dotted}={text}"])
+        assert field_value(cfg, dotted) == value
+        assert type(field_value(cfg, dotted)) is type(value)
+
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("optimizer.iterations=2.5", "bad value for [optimizer] iterations: '2.5' (invalid literal"),
+            ("keys.bank_uniform=maybe", "bad value for [keys] bank_uniform: 'maybe' ('maybe' is not a boolean)"),
+            ("run.model=1", "unknown config key [run] model"),
+            ("extra.seed=1", "unknown config key [extra] seed"),
+        ],
+    )
+    def test_error_messages(self, override, message):
+        with pytest.raises(ConfigError) as info:
+            apply_overrides(RunConfig(), [override])
+        assert str(info.value).startswith(message)
+
+    def test_all_non_default_values_together(self, tmp_path):
+        cfg = RunConfig()
+        apply_overrides(cfg, [f"{k}={v}" for k, v in NON_DEFAULT.items()])
+        validate_config(cfg)
+        assert all(field_value(cfg, k) != field_value(RunConfig(), k) for k in NON_DEFAULT)
+        assert read_back(cfg, tmp_path) == cfg
+
+    def test_default_serialization_is_pinned(self):
+        assert serialize_config(RunConfig()) == DEFAULT_INI
+        assert config_hash(RunConfig()) == DEFAULT_HASH
+
+    def test_readme_lists_every_key_with_its_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Configuration", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+        documented = [line.split("#", 1)[0].rstrip() for line in block.splitlines() if line.strip()]
+        serialized = [line.rstrip() for line in serialize_config(RunConfig()).splitlines() if line.strip()]
+        assert documented == serialized
+
+
 class TestTrainCommand:
     def run_train(self, tmp_path, name, extra=()):
         out = tmp_path / name
@@ -234,6 +393,30 @@ class TestEvalCommand:
         params.projector_w = Tensor(np.ones((2, 2)), grad_enabled=True)
         params.projector_b = Tensor(np.zeros(2), grad_enabled=True)
         return params
+
+    @pytest.mark.parametrize(
+        "path,named",
+        [
+            (("tensors", "projector.bias"), "projector.bias"),
+            (("tensors", "projector.bias", "data"), "projector.bias"),
+            (("dims", "feature_dim"), "feature_dim"),
+        ],
+    )
+    def test_checkpoint_missing_a_field_is_a_validation_error(self, tmp_path, capsys, path, named):
+        import dualhead.model as model_mod
+
+        ckpt = tmp_path / "ckpt.json"
+        model_mod.save_checkpoint(self.constant_predictor(3), str(ckpt))
+        doc = json.loads(ckpt.read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        ckpt.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), *FAST_TRAIN]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(named) in err
 
     def test_constant_predictor_all_class_zero(self, tmp_path, capsys):
         rows = [(0.4, -1.2, 0), (2.0, 0.3, 0), (-0.7, 0.9, 0)]

@@ -63,7 +63,7 @@ class TestMocoQueues:
     def test_push_to_empty(self):
         pool = MocoQueues(class_count=2, queue_size=4)
         pool.enqueue(*rows([entry(1, seed=0)]))
-        assert pool.class_sizes() == [0, 1]
+        assert [len(pool.entries(c)) for c in range(2)] == [0, 1]
 
     def test_interleaved_routing_label_audit(self):
         # Exhaustive replay: every entry must land in its label's buffer.

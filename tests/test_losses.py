@@ -276,8 +276,9 @@ class TestJointTotal:
             joint_total(LossTerms(weights=(0.0, 0.0, 0.0)))
 
     def test_weight_zero_disables(self):
-        terms = LossTerms(weights=(1.0, 0.0, 0.0))
-        assert terms.enabled == (True, False, False)
+        ce_term = Tensor(np.array(2.0))
+        terms = LossTerms(ce=ce_term, weights=(1.0, 0.0, 0.0))
+        assert joint_total(terms) is ce_term
 
 
 class TestInvariants:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from dualhead.config import RunConfig, validate_config
+from dualhead.config import OptimizerConfig, RunConfig, validate_config
 from dualhead.data import make_blobs
 from dualhead.keypool import EmptyPoolError, MemoryBank, MocoQueues
 from dualhead.model import ModelDims, ModelParams, forward_key, init_params, init_twin
@@ -119,7 +119,7 @@ class TestOptimizer:
         assert resolve_schedule("none", 100) == ()
         assert resolve_schedule("auto", 900) == ((600, 0.1), (750, 0.1))
         assert resolve_schedule(((5, 0.5),), 100) == ((5, 0.5),)
-        opt = OptimizerState(base_lr=1.0, schedule=((3, 0.1), (7, 0.5)))
+        opt = OptimizerState(OptimizerConfig(base_lr=1.0), schedule=((3, 0.1), (7, 0.5)))
         mults = []
         for it in range(1, 9):
             advance_schedule(opt, it)
@@ -146,7 +146,7 @@ class TestStep:
         else:
             pool = MocoQueues(train.class_count, cfg.keys.queue_size)
         if warm:
-            warmup(params, twin, pool, train, cfg)
+            warmup(twin, pool, train)
         opt = init_optimizer(params, cfg)
         batch = (train.features[:4], train.labels[:4], train.example_ids[:4])
         return train, params, twin, pool, opt, batch
@@ -311,6 +311,19 @@ class TestStep:
         mixed /= np.linalg.norm(mixed, axis=1, keepdims=True)
         np.testing.assert_allclose(pool.h_snap[ids], mixed, atol=1e-12)
 
+    @pytest.mark.parametrize("cce_weight", [1.0, 0.0])
+    def test_bank_mode_normalizes_features_once(self, monkeypatch, cce_weight):
+        # One normalization of z in the forward pass and one of h: objective's
+        # when cce is on (the bank update reuses it), the update's own when off.
+        import dualhead.ndgrad as nd
+
+        cfg = small_cfg(keys__generator="membank", losses__cce=cce_weight)
+        _, params, twin, pool, opt, batch = self.setup_run(cfg)
+        real, inputs = nd.row_l2_normalize, []
+        monkeypatch.setattr(nd, "row_l2_normalize", lambda t: inputs.append(t) or real(t))
+        step(params, twin, pool, batch, opt, cfg, np.random.default_rng(5))
+        assert len(inputs) == 2
+
 
 class TestWarmup:
     def test_queue_mode_fills_newest_per_class(self):
@@ -320,8 +333,8 @@ class TestWarmup:
         params = init_params(dims, np.random.default_rng(4))
         twin = init_twin(params, 0.9)
         pool = MocoQueues(2, queue_size=2)
-        warmup(params, twin, pool, ds, cfg)
-        assert pool.class_sizes() == [2, 2]
+        warmup(twin, pool, ds)
+        assert [len(pool.entries(c)) for c in range(2)] == [2, 2]
         # Class blocks are contiguous: newest two of class c are its last rows.
         for c, newest_ids in ((0, [3, 4]), (1, [8, 9])):
             h_t, _ = forward_key(twin, Tensor(ds.features[newest_ids]))
@@ -336,11 +349,11 @@ class TestWarmup:
         params = init_params(dims, np.random.default_rng(6))
         twin = init_twin(params, 0.9)
         bank = MemoryBank(ds.labels, m_bank=0.5)
-        warmup(params, twin, bank, ds, cfg)
+        warmup(twin, bank, ds)
         assert len(bank) == len(ds)
         np.testing.assert_allclose(np.linalg.norm(bank.h_snap, axis=1), 1.0, atol=1e-12)
         first = bank.h_snap.copy()
-        warmup(params, twin, bank, ds, cfg)  # re-initialization is idempotent
+        warmup(twin, bank, ds)  # re-initialization is idempotent
         np.testing.assert_array_equal(bank.h_snap, first)
 
 
