@@ -144,12 +144,21 @@ def _parse_opt_str(s: str) -> str | None:
     return None if s == "" else s
 
 
+# configparser strips every value, so config.ini names a whitespace delimiter.
+_DELIMITER_NAMES = {"tab": "\t", "space": " "}
+
+
+def _parse_delimiter(s: str) -> str:
+    """A delimiter's name, or the text as written (not stripped, so an override can set a space or a tab)."""
+    return _DELIMITER_NAMES.get(s.strip(), s)
+
+
 # Keys whose text form differs from their default's type; every other key
 # parses by the type of its default in RunConfig().
 _IRREGULAR_PARSERS = {
     ("run", "out"): _parse_opt_str,
     ("dataset", "seed"): _parse_opt_int,
-    ("dataset", "delimiter"): str,  # kept as written, so an override can set a space or a tab
+    ("dataset", "delimiter"): _parse_delimiter,
     ("model", "hidden"): _parse_hidden,
     ("optimizer", "schedule"): _parse_schedule,
 }
@@ -253,7 +262,10 @@ def serialize_config(cfg: RunConfig) -> str:
         obj = _section(cfg, name)
         out.write(f"[{name}]\n")
         for key in keys:
-            out.write(f"{key} = {_fmt_value(getattr(obj, key))}\n")
+            text = _fmt_value(getattr(obj, key))
+            if (name, key) == ("dataset", "delimiter"):
+                text = {ch: n for n, ch in _DELIMITER_NAMES.items()}.get(text, text)
+            out.write(f"{key} = {text}\n")
         out.write("\n")
     return out.getvalue()
 
@@ -281,6 +293,7 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     _require(0.0 < d.train_fraction <= 1.0, "dataset.train_fraction must be in (0, 1]")
     _require(0.0 < d.sampling_rate <= 1.0, "dataset.sampling_rate must be in (0, 1]")
     _require(d.label_column >= 0, "dataset.label_column must be >= 0")
+    _require(len(d.delimiter) == 1, f"dataset.delimiter must be exactly one character, got {d.delimiter!r}")
     if d.kind == "file":
         _require(bool(d.path), "dataset.path is required for dataset.kind = file")
     _require(all(h >= 1 for h in m.hidden), "model.hidden entries must be >= 1")

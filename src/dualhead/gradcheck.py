@@ -145,9 +145,11 @@ def _case_sum(rng):
     return lambda: nd.sum(a), [a]
 
 
-def _case_mean(rng):
-    a = Tensor(rng.normal(size=(4, 3)), grad_enabled=True)
-    return lambda: nd.mean(a), [a]
+def _case_row_dot_slab(rng):
+    a = Tensor(rng.normal(size=(3, 4)), grad_enabled=True)
+    slab = rng.normal(size=(3, 5, 4))  # each row's own constant keys, as in cce and ccl
+    r = rng.normal(size=(3, 5))
+    return lambda: _head(nd.row_dot_slab(a, slab), r), [a]
 
 
 def _case_select_rows(rng):
@@ -185,7 +187,7 @@ OP_CASES: dict[str, Callable] = {
     "scale_by_scalar": _case_scale_by_scalar,
     "relu": _case_relu,
     "sum": _case_sum,
-    "mean": _case_mean,
+    "row_dot_slab": _case_row_dot_slab,
     "select_rows": _case_select_rows,
     "concat_rows": _case_concat_rows,
     "row_l2_normalize": _case_row_l2_normalize,
@@ -293,7 +295,9 @@ class GradcheckReport:
 
 
 def run_gradcheck(instances: int = 20, base_seed: int = 0) -> GradcheckReport:
-    """Check every op and loss over the given number of random instances."""
+    """Check every op and loss over the given number of random instances (at least one)."""
+    if instances < 1:
+        raise ValueError(f"gradcheck needs at least one instance per check, got {instances}")
     results: list[CheckResult] = []
     for kind, cases in (("op", OP_CASES), ("loss", LOSS_CASES)):
         for name, builder in cases.items():

@@ -6,21 +6,26 @@ verification story does not depend on its architecture. The classifier is
 a bias-free matrix whose rows act as class prototypes. The projector is a
 single affine map onto the unit sphere.
 
+``parameter_layout`` alone names the trainable tensors, each a view into
+one float64 vector, ``ModelParams.flat``.
+
 A momentum twin shadows the encoder and projector with slowly trailing
-copies used exclusively to generate keys; it never sees gradients. The
-classifier has no twin: its live rows are the prototypes the contrastive
-classifier loss contrasts against.
+copies used exclusively to generate keys; it never sees gradients. It is
+the same layout over a second vector, so its update is one in-place mix.
+Its classifier slots ride along unread: the live rows are the prototypes
+the contrastive classifier loss contrasts against.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import ndgrad as nd
-from .ndgrad import ShapeError, Tensor
+from .ndgrad import NonFiniteError, ShapeError, Tensor
 
 CHECKPOINT_FORMAT = "dualhead-checkpoint-v1"
 
@@ -34,67 +39,82 @@ class ModelDims:
     projector_dim: int = 128
 
 
-@dataclass
+def parameter_layout(dims: ModelDims, classifier_bias: bool = False) -> list[tuple[str, tuple[int, ...], float]]:
+    """(name, shape, initial std) of every trainable tensor, in storage, draw and checkpoint order.
+
+    Encoder weights are (in x out) and He-scaled; the heads 1/sqrt(fan-in).
+    Biases draw from a small normal, not zero, so a relu-dead input cannot
+    make an exactly-zero feature row, which unit normalization rejects.
+    The optional classifier bias (std 0) starts at zero without a draw.
+    """
+    sizes = [dims.in_dim, *dims.hidden, dims.feature_dim]
+    layout = []
+    for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        layout.append((f"encoder.{i}.weight", (fan_in, fan_out), np.sqrt(2.0 / fan_in)))
+        layout.append((f"encoder.{i}.bias", (fan_out,), 0.1))
+    d, c, proj = dims.feature_dim, dims.class_count, dims.projector_dim
+    layout.append(("classifier.weight", (c, d), 1.0 / np.sqrt(d)))  # rows are class prototypes
+    if classifier_bias:
+        layout.append(("classifier.bias", (c,), 0.0))
+    layout.append(("projector.weight", (d, proj), 1.0 / np.sqrt(d)))
+    layout.append(("projector.bias", (proj,), 0.1))
+    return layout
+
+
 class ModelParams:
-    """All trainable tensors. Encoder weights are stored (in x out)."""
+    """All trainable tensors, zero at first, each a view into the one vector ``flat``.
 
-    dims: ModelDims
-    encoder_layers: list[tuple[Tensor, Tensor]] = field(default_factory=list)
-    classifier_W: Tensor | None = None  # (C x d), rows are class prototypes
-    classifier_b: Tensor | None = None  # optional, off by default
-    projector_w: Tensor | None = None  # (d x L)
-    projector_b: Tensor | None = None  # (L,)
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out: list[tuple[str, Tensor]] = []
-        for i, (w, b) in enumerate(self.encoder_layers):
-            out.append((f"encoder.{i}.weight", w))
-            out.append((f"encoder.{i}.bias", b))
-        out.append(("classifier.weight", self.classifier_W))
-        if self.classifier_b is not None:
-            out.append(("classifier.bias", self.classifier_b))
-        out.append(("projector.weight", self.projector_w))
-        out.append(("projector.bias", self.projector_b))
-        return out
-
-    def head_names(self) -> set[str]:
-        """Parameters trained at the boosted head learning rate."""
-        return {name for name, _ in self.named_parameters() if not name.startswith("encoder.")}
-
-
-@dataclass
-class MomentumTwin:
-    """Trailing copies of the encoder and projector used to produce keys.
-
-    The twin only changes through ``momentum_update``; its tensors are
-    grad-disabled, so nothing computed from them joins the tape.
+    A tensor's ``data`` is never rebound: a write to either side shows in
+    the other. ``slices`` gives each name's span of ``flat``.
     """
 
-    m: float
-    encoder_layers: list[tuple[Tensor, Tensor]]
-    projector_w: Tensor
-    projector_b: Tensor
+    grad_enabled = True
+
+    def __init__(self, dims: ModelDims, classifier_bias: bool = False):
+        self.dims = dims
+        self.layout = parameter_layout(dims, classifier_bias)
+        self.flat = np.zeros(sum(math.prod(shape) for _, shape, _ in self.layout))
+        self.slices: dict[str, slice] = {}
+        self._named: list[tuple[str, Tensor]] = []
+        start = 0
+        for name, shape, _ in self.layout:
+            view = self.flat[start:start + math.prod(shape)].reshape(shape)
+            t = Tensor(view, grad_enabled=self.grad_enabled)
+            t.data = view  # the constructor copies; the tensor must see flat
+            self.slices[name] = slice(start, start + view.size)
+            self._named.append((name, t))
+            start += view.size
+        tensors = [t for _, t in self._named]
+        n_enc = 2 * (len(dims.hidden) + 1)
+        self.encoder_layers = list(zip(tensors[0:n_enc:2], tensors[1:n_enc:2]))
+        self.classifier_W, *bias, self.projector_w, self.projector_b = tensors[n_enc:]
+        self.classifier_b = bias[0] if bias else None
+
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        return list(self._named)
+
+
+class MomentumTwin(ModelParams):
+    """Trailing copy of the live layout, used only to produce keys.
+
+    Its tensors are grad-disabled and change only through ``momentum_update``,
+    so nothing computed from them joins the tape.
+    """
+
+    grad_enabled = False
+
+    def __init__(self, params: ModelParams, m: float):
+        super().__init__(params.dims, params.classifier_b is not None)
+        self.flat[:] = params.flat
+        self.m = float(m)
 
 
 def init_params(dims: ModelDims, rng: np.random.Generator, classifier_bias: bool = False) -> ModelParams:
-    """Random initialization: He-scaled encoder, 1/sqrt(fan-in) heads.
-
-    Biases draw from a small normal rather than zero so that a relu-dead
-    input cannot produce an exactly-zero feature row, which the unit
-    normalization downstream treats as a hard error.
-    """
-    params = ModelParams(dims=dims)
-    sizes = [dims.in_dim, *dims.hidden, dims.feature_dim]
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-        b = rng.normal(0.0, 0.1, size=fan_out)
-        params.encoder_layers.append((Tensor(w, grad_enabled=True), Tensor(b, grad_enabled=True)))
-    d, c, proj = dims.feature_dim, dims.class_count, dims.projector_dim
-    params.classifier_W = Tensor(rng.normal(0.0, 1.0 / np.sqrt(d), size=(c, d)), grad_enabled=True)
-    if classifier_bias:
-        params.classifier_b = Tensor(np.zeros(c), grad_enabled=True)
-    params.projector_w = Tensor(rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, proj)), grad_enabled=True)
-    params.projector_b = Tensor(rng.normal(0.0, 0.1, size=proj), grad_enabled=True)
+    """Random initialization: each tensor draws N(0, std) in layout order."""
+    params = ModelParams(dims, classifier_bias)
+    for (_, shape, std), (_, t) in zip(params.layout, params.named_parameters()):
+        if std:
+            t.data[...] = rng.normal(0.0, std, size=shape)
     return params
 
 
@@ -151,39 +171,18 @@ def forward_key(twin: MomentumTwin, x: Tensor) -> tuple[np.ndarray, np.ndarray]:
 
 
 def init_twin(params: ModelParams, m: float) -> MomentumTwin:
-    """Deep-copy the encoder and projector into a trailing twin."""
+    """Copy the live vector into a trailing twin with momentum m."""
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"momentum coefficient must be in [0, 1], got {m}")
-    layers = [
-        (Tensor(w.data.copy()), Tensor(b.data.copy()))
-        for w, b in params.encoder_layers
-    ]
-    return MomentumTwin(
-        m=float(m),
-        encoder_layers=layers,
-        projector_w=Tensor(params.projector_w.data.copy()),
-        projector_b=Tensor(params.projector_b.data.copy()),
-    )
-
-
-def _twin_pairs(twin: MomentumTwin, params: ModelParams) -> list[tuple[Tensor, Tensor]]:
-    pairs: list[tuple[Tensor, Tensor]] = []
-    for (wk, bk), (wq, bq) in zip(twin.encoder_layers, params.encoder_layers):
-        pairs.append((wk, wq))
-        pairs.append((bk, bq))
-    pairs.append((twin.projector_w, params.projector_w))
-    pairs.append((twin.projector_b, params.projector_b))
-    return pairs
+    return MomentumTwin(params, m)
 
 
 def momentum_update(twin: MomentumTwin, params: ModelParams) -> None:
-    """Mix each twin tensor toward its live counterpart: m*old + (1-m)*new."""
-    m = twin.m
-    for tk, tq in _twin_pairs(twin, params):
-        if tk.shape != tq.shape:
-            raise ShapeError(f"twin shape {tk.shape} != live shape {tq.shape}")
-        tk.data *= m
-        tk.data += (1.0 - m) * tq.data
+    """Mix the twin toward the live parameters in place: m*old + (1-m)*new."""
+    if twin.layout != params.layout:
+        raise ShapeError("twin layout differs from the live parameter layout")
+    twin.flat *= twin.m
+    twin.flat += (1.0 - twin.m) * params.flat
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
@@ -194,13 +193,7 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
     """
     doc = {
         "format": CHECKPOINT_FORMAT,
-        "dims": {
-            "in_dim": params.dims.in_dim,
-            "hidden": list(params.dims.hidden),
-            "feature_dim": params.dims.feature_dim,
-            "class_count": params.dims.class_count,
-            "projector_dim": params.dims.projector_dim,
-        },
+        "dims": asdict(params.dims),
         "classifier_bias": params.classifier_b is not None,
         "tensors": {
             name: {"shape": list(t.shape), "data": t.data.reshape(-1).tolist()}
@@ -212,37 +205,28 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelParams:
+    """Read a checkpoint back into the layout its dims give, checking every tensor's shape."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format: {doc.get('format')!r}")
     dims_doc = doc.get("dims", {})
     try:
-        dims = ModelDims(
-            in_dim=int(dims_doc["in_dim"]),
-            hidden=tuple(int(h) for h in dims_doc["hidden"]),
-            feature_dim=int(dims_doc["feature_dim"]),
-            class_count=int(dims_doc["class_count"]),
-            projector_dim=int(dims_doc["projector_dim"]),
-        )
+        sizes = {key: int(dims_doc[key]) for key in ("in_dim", "feature_dim", "class_count", "projector_dim")}
+        dims = ModelDims(hidden=tuple(int(h) for h in dims_doc["hidden"]), **sizes)
     except KeyError as exc:
         raise ValueError(f"checkpoint {path} has no dims key {exc.args[0]!r}") from None
+    params = ModelParams(dims, bool(doc.get("classifier_bias")))
     tensors = doc.get("tensors", {})
-
-    def take(name: str) -> Tensor:
+    for name, t in params.named_parameters():
         entry = tensors.get(name, {})
         if "data" not in entry or "shape" not in entry:
             raise ValueError(f"checkpoint {path} has no tensor {name!r} with data and shape")
-        arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        return Tensor(arr, grad_enabled=True)
-
-    params = ModelParams(dims=dims)
-    n_layers = len(dims.hidden) + 1
-    for i in range(n_layers):
-        params.encoder_layers.append((take(f"encoder.{i}.weight"), take(f"encoder.{i}.bias")))
-    params.classifier_W = take("classifier.weight")
-    if doc.get("classifier_bias"):
-        params.classifier_b = take("classifier.bias")
-    params.projector_w = take("projector.weight")
-    params.projector_b = take("projector.bias")
+        values = np.array(entry["data"], dtype=np.float64)
+        if entry["shape"] != list(t.shape) or values.size != t.data.size:
+            raise ValueError(f"checkpoint {path} tensor {name!r} holds {values.size} values of shape {entry['shape']};"
+                             f" its dims give shape {list(t.shape)}")
+        if not np.isfinite(values).all():
+            raise NonFiniteError(f"checkpoint {path} tensor {name!r} holds a non-finite value")
+        t.data[...] = values.reshape(t.shape)
     return params

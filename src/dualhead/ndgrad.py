@@ -223,15 +223,6 @@ def sum(a: Tensor) -> Tensor:  # noqa: A001 - spec'd op name
     return _from_op(np.asarray(a.data.sum()), "sum", (a,), backward)
 
 
-def mean(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, np.full_like(a.data, float(g) / n))
-
-    return _from_op(np.asarray(a.data.mean()), "mean", (a,), backward)
-
-
 def select_rows(a: Tensor, indices) -> Tensor:
     """Gather rows by index; duplicate indices are allowed."""
     if a.data.ndim != 2:

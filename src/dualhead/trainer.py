@@ -6,10 +6,10 @@ One training step runs a fixed pipeline:
 2. key forward pass for the same batch through the momentum twin;
 3. one batched key draw for all queries, slot 0 = each query's own key;
 4. ``losses.objective`` (the enabled terms and their total), backward,
-   SGD-with-momentum update (weight decay folded into the gradient,
-   boosted learning rate for the heads);
-5. momentum update of the twin (after the optimizer step, so keys always
-   come from the slow weights);
+   SGD-with-momentum update of the one parameter vector (weight decay
+   folded into the gradient, boosted learning rate for the heads);
+5. momentum update of the twin's vector (after the optimizer step, so
+   keys always come from the slow weights);
 6. the batch's keys join the pool (queue append, or snapshot mixing in
    memory-bank mode).
 
@@ -51,19 +51,16 @@ class OptimizerState:
     base_lr * head_lr_multiplier; encoder parameters at base_lr. Besides
     ``config`` the state holds only what a run adds: the resolved
     schedule of (iteration, multiplier) decay points, each applied once
-    when its iteration starts; one velocity buffer per parameter; the
-    head parameter names; and the running learning-rate multiplier.
+    when its iteration starts; a velocity and a per-element learning-rate
+    boost (head_lr_multiplier on the heads, 1 on the encoder), both laid
+    out like ``ModelParams.flat``; and the running learning-rate multiplier.
     """
 
     config: OptimizerConfig
     schedule: tuple[tuple[int, float], ...] = ()
-    velocities: dict[str, np.ndarray] = field(default_factory=dict)
-    head_names: set[str] = field(default_factory=set)
+    velocity: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    boost: np.ndarray = field(default_factory=lambda: np.zeros(0))
     lr_mult: float = 1.0
-
-    def effective_lr(self, name: str) -> float:
-        boost = self.config.head_lr_multiplier if name in self.head_names else 1.0
-        return self.config.base_lr * self.lr_mult * boost
 
 
 @dataclass
@@ -103,10 +100,11 @@ def resolve_schedule(spec, iterations: int) -> tuple[tuple[int, float], ...]:
 
 
 def init_optimizer(params: ModelParams, cfg: RunConfig) -> OptimizerState:
-    opt = OptimizerState(cfg.optimizer, resolve_schedule(cfg.optimizer.schedule, cfg.optimizer.iterations))
-    opt.velocities = {name: np.zeros_like(t.data) for name, t in params.named_parameters()}
-    opt.head_names = params.head_names()
-    return opt
+    boost = np.ones_like(params.flat)
+    for name, span in params.slices.items():
+        boost[span] = 1.0 if name.startswith("encoder.") else cfg.optimizer.head_lr_multiplier
+    schedule = resolve_schedule(cfg.optimizer.schedule, cfg.optimizer.iterations)
+    return OptimizerState(cfg.optimizer, schedule, np.zeros_like(params.flat), boost)
 
 
 def advance_schedule(opt: OptimizerState, iteration: int) -> None:
@@ -116,22 +114,25 @@ def advance_schedule(opt: OptimizerState, iteration: int) -> None:
 
 
 def sgd_apply(params: ModelParams, opt: OptimizerState) -> None:
-    """One SGD-momentum update; consumes and clears gradients.
+    """One SGD-momentum update of the parameter vector; consumes and clears gradients.
 
-    Parameters whose gradient was never touched this step are skipped
-    (no decay either), mirroring the usual deep-learning convention.
+    Parameters whose gradient was never touched this step are masked out
+    (no decay, no velocity update), mirroring the usual deep-learning convention.
     """
+    grad = np.zeros_like(params.flat)
+    live = np.zeros(params.flat.size, dtype=bool)
     for name, t in params.named_parameters():
-        if t.grad is None:
-            continue
-        g = t.grad + opt.config.weight_decay * t.data
-        v = opt.velocities[name]
-        v *= opt.config.sgd_momentum
-        v += g
-        t.data -= opt.effective_lr(name) * v
-        t.zero_grad()
-        if not np.isfinite(t.data).all():
-            raise NonFiniteError(f"parameter {name} became non-finite after the optimizer step")
+        if t.grad is not None:
+            span = params.slices[name]
+            grad[span] = t.grad.reshape(-1)
+            live[span] = True
+            t.zero_grad()
+    cfg, w, v = opt.config, params.flat, opt.velocity
+    np.copyto(v, v * cfg.sgd_momentum + (grad + cfg.weight_decay * w), where=live)
+    np.subtract(w, ((cfg.base_lr * opt.lr_mult) * opt.boost) * v, out=w, where=live)
+    if not np.isfinite(w).all():
+        name = next(name for name, t in params.named_parameters() if not np.isfinite(t.data).all())
+        raise NonFiniteError(f"parameter {name} became non-finite after the optimizer step")
 
 
 def step(

@@ -8,6 +8,7 @@ import pytest
 
 import dualhead.ndgrad as nd
 from dualhead.cli import main
+from dualhead.gradcheck import run_gradcheck
 from dualhead.config import (
     ConfigError,
     RunConfig,
@@ -240,6 +241,9 @@ class TestSchema:
             ("keys.bank_uniform", "Off", False),
             ("optimizer.iterations", " 12 ", 12),
             ("losses.tau", "1e-1", 0.1),
+            ("dataset.delimiter", " ", " "),
+            ("dataset.delimiter", " tab", "\t"),
+            ("dataset.delimiter", "space", " "),
         ],
     )
     def test_text_forms(self, dotted, text, value):
@@ -247,6 +251,26 @@ class TestSchema:
         apply_overrides(cfg, [f"{dotted}={text}"])
         assert field_value(cfg, dotted) == value
         assert type(field_value(cfg, dotted)) is type(value)
+
+    @pytest.mark.parametrize("delimiter,text", [("\t", "tab"), (" ", "space"), (";", ";"), ("|", "|")])
+    def test_delimiter_survives_config_ini(self, tmp_path, delimiter, text):
+        # configparser strips values, so a whitespace delimiter is written by name.
+        cfg = RunConfig()
+        apply_overrides(cfg, [f"dataset.delimiter={delimiter}"])
+        assert f"\ndelimiter = {text}\n" in serialize_config(cfg)
+        again = read_back(cfg, tmp_path)
+        assert again.dataset.delimiter == delimiter
+        assert config_hash(again) == config_hash(cfg)
+
+    @pytest.mark.parametrize("delimiter", ["", ";;", "tab;"])
+    def test_delimiter_must_be_one_character(self, tmp_path, capsys, delimiter):
+        # The table does not exist: a delimiter that got past validation would exit 3, not 1.
+        code = main([
+            "train", "--out", str(tmp_path / "o"), "--set", "dataset.kind=file",
+            "--set", f"dataset.path={tmp_path / 'missing.csv'}", "--set", f"dataset.delimiter={delimiter}",
+        ])
+        assert code == 1
+        assert "dataset.delimiter must be exactly one character" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "override,message",
@@ -324,6 +348,21 @@ class TestTrainCommand:
         assert code == 0
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
 
+    @pytest.mark.parametrize("delimiter", ["\t", " ", ";", "|"])
+    def test_file_run_reruns_from_its_config(self, tmp_path, delimiter):
+        table = tmp_path / "table.csv"
+        rows = [(0.1 * i, (-1.0) ** i * 0.3 + i % 2, i % 2) for i in range(20)]
+        table.write_text("".join(f"{a!r}{delimiter}{b!r}{delimiter}{label}\n" for a, b, label in rows))
+        code, out1 = self.run_train(tmp_path, "orig", [
+            "--set", "dataset.kind=file", "--set", f"dataset.path={table}",
+            "--set", f"dataset.delimiter={delimiter}", "--set", "dataset.label_column=2",
+        ])
+        assert code == 0
+        assert load_config(str(out1 / "config.ini")).dataset.delimiter == delimiter
+        out2 = tmp_path / "replay"
+        assert main(["train", "--config", str(out1 / "config.ini"), "--out", str(out2)]) == 0
+        assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
+
     def test_unknown_key_exit_code(self, tmp_path):
         cfg_file = tmp_path / "c.ini"
         cfg_file.write_text("[model]\nwidth = 9\n")
@@ -380,18 +419,11 @@ class TestEvalCommand:
         return float(capsys.readouterr().out.strip().split()[-1])
 
     def constant_predictor(self, class_count):
-        import numpy as np
-
         from dualhead.model import ModelDims, ModelParams
-        from dualhead.ndgrad import Tensor
 
         dims = ModelDims(in_dim=2, hidden=(), feature_dim=2, class_count=class_count, projector_dim=2)
-        params = ModelParams(dims=dims)
-        params.encoder_layers.append((Tensor(np.zeros((2, 2)), grad_enabled=True),
-                                      Tensor(np.zeros(2), grad_enabled=True)))
-        params.classifier_W = Tensor(np.zeros((class_count, 2)), grad_enabled=True)
-        params.projector_w = Tensor(np.ones((2, 2)), grad_enabled=True)
-        params.projector_b = Tensor(np.zeros(2), grad_enabled=True)
+        params = ModelParams(dims)
+        params.projector_w.data[:] = 1.0
         return params
 
     @pytest.mark.parametrize(
@@ -418,6 +450,44 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(named) in err
 
+    @pytest.mark.parametrize(
+        "path,value,named,shape",
+        [
+            # A 3x2 classifier under class_count = 2 used to load and yield 3 logits.
+            (("dims", "class_count"), 2, "classifier.weight", "[2, 2]"),
+            # Same value count, wrong shape; right shape, wrong value count.
+            (("tensors", "projector.weight", "shape"), [1, 4], "projector.weight", "[2, 2]"),
+            (("tensors", "projector.bias", "data"), [0.0], "projector.bias", "[2]"),
+        ],
+    )
+    def test_checkpoint_shape_disagreeing_with_dims_is_a_validation_error(self, tmp_path, capsys, path, value, named, shape):
+        import dualhead.model as model_mod
+
+        ckpt = tmp_path / "ckpt.json"
+        model_mod.save_checkpoint(self.constant_predictor(3), str(ckpt))
+        doc = json.loads(ckpt.read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        ckpt.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), *FAST_TRAIN]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(named) in err and f"its dims give shape {shape}" in err
+
+    def test_checkpoint_with_nan_is_a_numerical_failure(self, tmp_path, capsys):
+        import dualhead.model as model_mod
+
+        ckpt = tmp_path / "ckpt.json"
+        model_mod.save_checkpoint(self.constant_predictor(3), str(ckpt))
+        doc = json.loads(ckpt.read_text())
+        doc["tensors"]["projector.bias"]["data"][1] = float("nan")
+        ckpt.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), *FAST_TRAIN]) == 2
+        assert "'projector.bias'" in capsys.readouterr().err
+
     def test_constant_predictor_all_class_zero(self, tmp_path, capsys):
         rows = [(0.4, -1.2, 0), (2.0, 0.3, 0), (-0.7, 0.9, 0)]
         acc = self.eval_on_csv(tmp_path, capsys, self.constant_predictor(3), rows, "const")
@@ -432,14 +502,12 @@ class TestEvalCommand:
         import numpy as np
 
         from dualhead.model import ModelDims, ModelParams
-        from dualhead.ndgrad import Tensor
 
         dims = ModelDims(in_dim=2, hidden=(), feature_dim=2, class_count=2, projector_dim=2)
-        params = ModelParams(dims=dims)
-        params.encoder_layers.append((Tensor(np.eye(2), grad_enabled=True), Tensor(np.zeros(2), grad_enabled=True)))
-        params.classifier_W = Tensor(np.eye(2), grad_enabled=True)
-        params.projector_w = Tensor(np.ones((2, 2)), grad_enabled=True)
-        params.projector_b = Tensor(np.zeros(2), grad_enabled=True)
+        params = ModelParams(dims)
+        params.encoder_layers[0][0].data[:] = np.eye(2)
+        params.classifier_W.data[:] = np.eye(2)
+        params.projector_w.data[:] = 1.0
         # features double as logits; predictions 0, 1, 0 (tie), 0 -> 2/4
         rows = [(2.0, 1.0, 0), (0.0, 3.0, 1), (5.0, 5.0, 1), (1.0, 0.0, 1)]
         acc = self.eval_on_csv(tmp_path, capsys, params, rows, "table")
@@ -452,6 +520,16 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         for name in ("ce", "info_nce", "cce_literal", "cce_per_key", "ccl", "joint_total"):
             assert sum(1 for line in out.splitlines() if f" {name} " in line) == 1
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_no_instances_is_a_validation_error(self, capsys, instances):
+        # Zero instances would check nothing and still print "all gradients verified".
+        assert main(["gradcheck", "--instances", instances]) == 1
+        captured = capsys.readouterr()
+        assert "verified" not in captured.out
+        assert captured.err.startswith("error: gradcheck needs at least one instance")
+        with pytest.raises(ValueError):
+            run_gradcheck(instances=int(instances))
 
     def test_detects_corrupted_backward_rule(self, capsys, monkeypatch):
         real_relu = nd.relu

@@ -5,7 +5,17 @@ import pytest
 
 import dualhead.model as model_mod
 import dualhead.ndgrad as nd
-from dualhead.model import ModelDims, ModelParams, forward_key, forward_logits, forward_query, init_params, init_twin, momentum_update
+from dualhead.model import (
+    ModelDims,
+    ModelParams,
+    forward_key,
+    forward_logits,
+    forward_query,
+    init_params,
+    init_twin,
+    momentum_update,
+    parameter_layout,
+)
 from dualhead.ndgrad import ShapeError, Tensor
 
 
@@ -13,16 +23,11 @@ def manual_params(weights_scale=0.0, in_dim=3, feature_dim=3, class_count=2, pro
     """Single affine encoder (no hidden layer) with hand-set tensors."""
     dims = ModelDims(in_dim=in_dim, hidden=(), feature_dim=feature_dim,
                      class_count=class_count, projector_dim=projector_dim)
-    params = ModelParams(dims=dims)
-    params.encoder_layers.append(
-        (
-            Tensor(np.full((in_dim, feature_dim), weights_scale), grad_enabled=True),
-            Tensor(np.zeros(feature_dim), grad_enabled=True),
-        )
-    )
-    params.classifier_W = Tensor(np.arange(class_count * feature_dim, dtype=float).reshape(class_count, feature_dim) + 1.0, grad_enabled=True)
-    params.projector_w = Tensor(np.ones((feature_dim, projector_dim)), grad_enabled=True)
-    params.projector_b = Tensor(np.full(projector_dim, 0.5), grad_enabled=True)
+    params = ModelParams(dims)
+    params.encoder_layers[0][0].data[:] = weights_scale
+    params.classifier_W.data[:] = np.arange(class_count * feature_dim, dtype=float).reshape(class_count, feature_dim) + 1.0
+    params.projector_w.data[:] = 1.0
+    params.projector_b.data[:] = 0.5
     return params
 
 
@@ -33,10 +38,88 @@ def random_params(seed=0, **kw):
     return init_params(dims, np.random.default_rng(seed), classifier_bias=kw.get("classifier_bias", False))
 
 
+def assert_views_of_flat(params):
+    """Every tensor is a view of the one C-contiguous float64 vector, at its layout span."""
+    flat = params.flat
+    assert flat.dtype == np.float64 and flat.ndim == 1 and flat.flags.c_contiguous
+    spans = list(params.slices.values())
+    assert spans[0].start == 0 and spans[-1].stop == flat.size
+    assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
+    for name, t in params.named_parameters():
+        assert t.data.base is flat and t.data.flags.c_contiguous, name
+        assert np.shares_memory(t.data, flat[params.slices[name]]), name
+        np.testing.assert_array_equal(t.data.ravel(), flat[params.slices[name]])
+
+
+class TestFlatLayout:
+    def test_layout_names_shapes_and_order(self):
+        dims = ModelDims(in_dim=3, hidden=(5, 4), feature_dim=6, class_count=2, projector_dim=7)
+        layout = parameter_layout(dims, classifier_bias=True)
+        assert [(name, shape) for name, shape, _ in layout] == [
+            ("encoder.0.weight", (3, 5)), ("encoder.0.bias", (5,)),
+            ("encoder.1.weight", (5, 4)), ("encoder.1.bias", (4,)),
+            ("encoder.2.weight", (4, 6)), ("encoder.2.bias", (6,)),
+            ("classifier.weight", (2, 6)), ("classifier.bias", (2,)),
+            ("projector.weight", (6, 7)), ("projector.bias", (7,)),
+        ]
+        assert [name for name, _, _ in parameter_layout(dims)] == [n for n, _, _ in layout if n != "classifier.bias"]
+
+    def test_init_draws_are_the_per_tensor_sequence(self):
+        # The draw order of the per-tensor initialization the layout replaced, as an oracle.
+        dims = ModelDims(in_dim=3, hidden=(5, 4), feature_dim=6, class_count=2, projector_dim=7)
+        params = init_params(dims, np.random.default_rng(3), classifier_bias=True)
+        rng = np.random.default_rng(3)
+        sizes = [3, 5, 4, 6]
+        for (w, b), fan_in, fan_out in zip(params.encoder_layers, sizes[:-1], sizes[1:]):
+            np.testing.assert_array_equal(w.data, rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
+            np.testing.assert_array_equal(b.data, rng.normal(0.0, 0.1, size=fan_out))
+        np.testing.assert_array_equal(params.classifier_W.data, rng.normal(0.0, 1.0 / np.sqrt(6), size=(2, 6)))
+        np.testing.assert_array_equal(params.classifier_b.data, np.zeros(2))
+        np.testing.assert_array_equal(params.projector_w.data, rng.normal(0.0, 1.0 / np.sqrt(6), size=(6, 7)))
+        np.testing.assert_array_equal(params.projector_b.data, rng.normal(0.0, 0.1, size=7))
+
+    @pytest.mark.parametrize("classifier_bias", [False, True])
+    def test_params_and_twin_view_their_vectors(self, classifier_bias):
+        params = random_params(20, classifier_bias=classifier_bias)
+        twin = init_twin(params, 0.9)
+        assert_views_of_flat(params)
+        assert_views_of_flat(twin)
+        assert not np.shares_memory(twin.flat, params.flat)
+        np.testing.assert_array_equal(twin.flat, params.flat)
+        assert all(not t.grad_enabled for _, t in twin.named_parameters())
+        assert all(t.grad_enabled for _, t in params.named_parameters())
+
+    def test_loaded_checkpoint_views_its_vector(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        model_mod.save_checkpoint(random_params(21, classifier_bias=True), str(path))
+        assert_views_of_flat(model_mod.load_checkpoint(str(path)))
+
+    @pytest.mark.parametrize("m", [0.999, 0.9, 0.5, 0.0, 1.0])
+    def test_vector_update_is_bitwise_the_per_tensor_mix(self, m):
+        rng = np.random.default_rng(22)
+        params = random_params(22, classifier_bias=True)
+        twin = init_twin(params, m)
+        expect = {name: t.data.copy() for name, t in twin.named_parameters()}
+        for _ in range(5):
+            params.flat += rng.normal(size=params.flat.size)
+            momentum_update(twin, params)
+            for name, tq in params.named_parameters():
+                expect[name] *= m
+                expect[name] += (1.0 - m) * tq.data
+        for name, tk in twin.named_parameters():
+            np.testing.assert_array_equal(tk.data, expect[name])
+        assert_views_of_flat(twin)
+
+    def test_update_rejects_another_layout(self):
+        twin = init_twin(random_params(23), 0.9)
+        with pytest.raises(ShapeError):
+            momentum_update(twin, random_params(23, classifier_bias=True))
+
+
 class TestForwardQuery:
     def test_zero_weight_network_replicates_bias(self):
         params = manual_params(weights_scale=0.0)
-        params.encoder_layers[0] = (params.encoder_layers[0][0], Tensor([1.0, 2.0, 3.0], grad_enabled=True))
+        params.encoder_layers[0][1].data[:] = [1.0, 2.0, 3.0]
         x = Tensor(np.random.default_rng(0).normal(size=(4, 3)))
         h, _, logits = forward_query(params, x)
         np.testing.assert_allclose(h.data, np.tile([1.0, 2.0, 3.0], (4, 1)), atol=0)
@@ -44,7 +127,7 @@ class TestForwardQuery:
 
     def test_identity_encoder_passes_one_hot_through(self):
         params = manual_params()
-        params.encoder_layers[0] = (Tensor(np.eye(3), grad_enabled=True), Tensor(np.zeros(3), grad_enabled=True))
+        params.encoder_layers[0][0].data[:] = np.eye(3)
         x = Tensor([[0.0, 1.0, 0.0]])
         h, _, _ = forward_query(params, x)
         np.testing.assert_array_equal(h.data, [[0.0, 1.0, 0.0]])

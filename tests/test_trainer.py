@@ -10,7 +10,7 @@ from dualhead.config import OptimizerConfig, RunConfig, validate_config
 from dualhead.data import make_blobs
 from dualhead.keypool import EmptyPoolError, MemoryBank, MocoQueues
 from dualhead.model import ModelDims, ModelParams, forward_key, init_params, init_twin
-from dualhead.ndgrad import DegenerateRowError, Tensor
+from dualhead.ndgrad import DegenerateRowError, NonFiniteError, Tensor
 from dualhead.trainer import (
     OptimizerState,
     _Batcher,
@@ -115,6 +115,46 @@ class TestOptimizer:
         sgd_apply(params, opt)
         np.testing.assert_array_equal(params.projector_w.data, before)
 
+    def test_vector_update_is_bitwise_the_per_tensor_loop(self):
+        # The per-tensor loop the vector form replaced, as the oracle: the
+        # scalar rate base_lr * lr_mult * boost, velocity *= mu then += g.
+        dims = ModelDims(in_dim=3, hidden=(4,), feature_dim=3, class_count=2, projector_dim=5)
+        params = init_params(dims, np.random.default_rng(4), classifier_bias=True)
+        cfg = small_cfg(base_lr=0.03)
+        cfg.optimizer.weight_decay = 1e-3
+        opt = init_optimizer(params, cfg)
+        opt.schedule = ((3, 0.1), (5, 0.5))
+        data = {name: t.data.copy() for name, t in params.named_parameters()}
+        vel = {name: np.zeros_like(d) for name, d in data.items()}
+        rng = np.random.default_rng(5)
+        for it, skip in enumerate(["", "projector.", "classifier.", "encoder.0.b", "", "projector.w"], start=1):
+            advance_schedule(opt, it)
+            for name, t in params.named_parameters():
+                t.grad = None if skip and name.startswith(skip) else rng.normal(size=t.data.shape)
+                if t.grad is None:
+                    continue
+                g = t.grad + cfg.optimizer.weight_decay * data[name]
+                vel[name] *= cfg.optimizer.sgd_momentum
+                vel[name] += g
+                boost = 1.0 if name.startswith("encoder.") else cfg.optimizer.head_lr_multiplier
+                data[name] -= cfg.optimizer.base_lr * opt.lr_mult * boost * vel[name]
+            sgd_apply(params, opt)
+            for name, t in params.named_parameters():
+                np.testing.assert_array_equal(t.data, data[name])
+                np.testing.assert_array_equal(opt.velocity[params.slices[name]], vel[name].ravel())
+                assert t.grad is None
+
+    @pytest.mark.parametrize("name", ["encoder.0.bias", "classifier.weight", "projector.weight"])
+    def test_names_the_parameter_that_went_non_finite(self, name):
+        dims = ModelDims(in_dim=2, hidden=(3,), feature_dim=2, class_count=2, projector_dim=2)
+        params = init_params(dims, np.random.default_rng(3))
+        cfg = small_cfg(base_lr=1e10)
+        opt = init_optimizer(params, cfg)
+        for other, t in params.named_parameters():
+            t.grad = np.full_like(t.data, 1e308 if other == name else 1.0)
+        with pytest.raises(NonFiniteError, match=f"parameter {name} became non-finite"), np.errstate(over="ignore"):
+            sgd_apply(params, opt)
+
     def test_schedule_resolution_and_advance(self):
         assert resolve_schedule("none", 100) == ()
         assert resolve_schedule("auto", 900) == ((600, 0.1), (750, 0.1))
@@ -173,6 +213,23 @@ class TestStep:
         assert terms.total.item() > 0.0
         for name, t in params.named_parameters():
             np.testing.assert_array_equal(t.data, before[name])
+
+    def test_ccl_only_step_leaves_the_classifier_and_its_velocity(self):
+        # The classifier sits between the encoder and the projector in the
+        # vector; with no gradient it gets no decay and no velocity.
+        cfg = small_cfg(losses__ce=0.0, losses__cce=0.0)
+        _, params, twin, pool, opt, batch = self.setup_run(cfg)
+        before = params.flat.copy()
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            step(params, twin, pool, batch, opt, cfg, rng)
+        for name, span in params.slices.items():
+            if name.startswith("classifier."):
+                np.testing.assert_array_equal(params.flat[span], before[span])
+                assert not opt.velocity[span].any(), name
+            else:
+                assert (params.flat[span] != before[span]).all(), name
+                assert opt.velocity[span].all(), name
 
     def test_empty_pool_with_contrastive_terms(self):
         cfg = small_cfg()
@@ -360,12 +417,8 @@ class TestWarmup:
 class TestEvaluate:
     def constant_predictor(self, class_count=3, in_dim=2):
         dims = ModelDims(in_dim=in_dim, hidden=(), feature_dim=in_dim, class_count=class_count, projector_dim=2)
-        params = ModelParams(dims=dims)
-        params.encoder_layers.append((Tensor(np.zeros((in_dim, in_dim)), grad_enabled=True),
-                                      Tensor(np.zeros(in_dim), grad_enabled=True)))
-        params.classifier_W = Tensor(np.zeros((class_count, in_dim)), grad_enabled=True)
-        params.projector_w = Tensor(np.ones((in_dim, 2)), grad_enabled=True)
-        params.projector_b = Tensor(np.zeros(2), grad_enabled=True)
+        params = ModelParams(dims)
+        params.projector_w.data[:] = 1.0
         return params
 
     def test_constant_class_zero_on_all_zero_labels(self):
@@ -387,11 +440,10 @@ class TestEvaluate:
         from dualhead.data import Dataset
 
         dims = ModelDims(in_dim=2, hidden=(), feature_dim=2, class_count=2, projector_dim=2)
-        params = ModelParams(dims=dims)
-        params.encoder_layers.append((Tensor(np.eye(2), grad_enabled=True), Tensor(np.zeros(2), grad_enabled=True)))
-        params.classifier_W = Tensor(np.eye(2), grad_enabled=True)
-        params.projector_w = Tensor(np.ones((2, 2)), grad_enabled=True)
-        params.projector_b = Tensor(np.zeros(2), grad_enabled=True)
+        params = ModelParams(dims)
+        params.encoder_layers[0][0].data[:] = np.eye(2)
+        params.classifier_W.data[:] = np.eye(2)
+        params.projector_w.data[:] = 1.0
         logits_table = np.array([[2.0, 1.0], [0.0, 3.0], [5.0, 5.0], [1.0, 0.0]])
         labels = np.array([0, 1, 1, 1])  # predictions: 0, 1, 0 (tie), 0 -> 2/4
         ds = Dataset(logits_table, labels, np.arange(4), 2)
@@ -426,6 +478,12 @@ class TestFit:
         run = fit(cfg)
         assert len(run.pool) > 0
         assert run.metric_log[-1].cce is not None
+
+    def test_fit_leaves_every_tensor_a_view_of_its_vector(self):
+        run = fit(small_cfg(iterations=20))
+        for p in (run.params, run.twin):
+            for name, t in p.named_parameters():
+                assert t.data.base is p.flat and np.shares_memory(t.data, p.flat[p.slices[name]]), name
 
     def test_membank_fit_runs(self):
         run = fit(small_cfg(iterations=25, keys__generator="membank"))
