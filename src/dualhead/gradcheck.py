@@ -97,10 +97,14 @@ def _case_matmul(rng):
     return lambda: _head(nd.matmul(a, b), r), [a, b]
 
 
-def _case_transpose(rng):
-    a = Tensor(rng.normal(size=(3, 5)), grad_enabled=True)
-    r = rng.normal(size=(5, 3))
-    return lambda: _head(nd.transpose(a), r), [a]
+def _case_linear(rng):
+    # Each instance draws its weight form: (in x out), or the (out x in) rows of the logits.
+    w_rows = bool(rng.integers(2))
+    x = Tensor(rng.normal(size=(2, 3)), grad_enabled=True)
+    w = Tensor(rng.normal(size=(2, 3) if w_rows else (3, 2)), grad_enabled=True)
+    b = Tensor(rng.normal(size=2), grad_enabled=True)
+    r = rng.normal(size=(2, 2))
+    return lambda: _head(nd.linear(x, w, b, w_rows=w_rows), r), [x, w, b]
 
 
 def _case_add(rng):
@@ -172,15 +176,18 @@ def _case_row_l2_normalize(rng):
     return lambda: _head(nd.row_l2_normalize(a), r), [a]
 
 
-def _case_log_softmax_row(rng):
+def _case_masked_nll(rng):
+    # Each instance draws whether a temperature scale comes first; the op's output is already a scalar.
+    inv_tau = float(rng.uniform(0.5, 3.0)) if rng.integers(2) else None
     a = Tensor(rng.normal(size=(3, 4)), grad_enabled=True)
-    r = rng.normal(size=(3, 4))
-    return lambda: _head(nd.log_softmax_row(a), r), [a]
+    mask = rng.integers(0, 3, size=(3, 4)).astype(float)  # multiplicities, as cce's literal variant weights
+    scale = float(rng.normal())
+    return lambda: nd.masked_nll(a, mask, scale, inv_tau), [a]
 
 
 OP_CASES: dict[str, Callable] = {
     "matmul": _case_matmul,
-    "transpose": _case_transpose,
+    "linear": _case_linear,
     "add": _case_add,
     "add_bias": _case_add_bias,
     "mul": _case_mul,
@@ -191,7 +198,7 @@ OP_CASES: dict[str, Callable] = {
     "select_rows": _case_select_rows,
     "concat_rows": _case_concat_rows,
     "row_l2_normalize": _case_row_l2_normalize,
-    "log_softmax_row": _case_log_softmax_row,
+    "masked_nll": _case_masked_nll,
 }
 
 

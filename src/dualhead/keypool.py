@@ -32,10 +32,15 @@ class EmptyPoolError(RuntimeError):
     """Sampling was attempted before any key was available."""
 
 
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    """Each row scaled by its Euclidean norm: np.linalg.norm's own sum, without its Python wrapper."""
+    return a / np.sqrt(np.add.reduce(a * a, axis=1, keepdims=True))
+
+
 def _check_unit(**blocks: np.ndarray) -> None:
     """Every vector along each block's last axis must have unit norm (NaN fails too)."""
     for name, rows in blocks.items():
-        norms = np.linalg.norm(rows, axis=-1)
+        norms = np.sqrt(np.add.reduce(rows * rows, axis=-1))  # np.linalg.norm(rows, axis=-1), bit for bit
         bad = ~(np.abs(norms - 1.0) <= UNIT_TOL)
         if bad.any():
             raise ValueError(f"{name} must be unit-norm, got |v|={float(norms[bad].flat[0])!r}")
@@ -193,7 +198,7 @@ class MemoryBank:
         h, z = (np.asarray(a, dtype=np.float64) for a in (h, z))
         if h.shape[0] != self.labels.shape[0] or z.shape[0] != self.labels.shape[0]:
             raise ValueError("snapshot row count must equal the number of examples")
-        h, z = (a / np.linalg.norm(a, axis=1, keepdims=True) for a in (h, z))
+        h, z = _unit_rows(h), _unit_rows(z)
         _check_unit(h_snapshot=h, z_snapshot=z)
         self.h_snap, self.z_snap = h, z
 
@@ -209,7 +214,7 @@ class MemoryBank:
         _check_unit(h_new=h_new, z_new=z_new)
         m = self.m_bank
         h, z = m * self.h_snap[idx] + (1.0 - m) * h_new, m * self.z_snap[idx] + (1.0 - m) * z_new
-        h, z = (a / np.linalg.norm(a, axis=1, keepdims=True) for a in (h, z))  # a zero row turns NaN here
+        h, z = _unit_rows(h), _unit_rows(z)  # a zero row turns NaN here
         _check_unit(h_snapshot=h, z_snapshot=z)
         self.h_snap[idx], self.z_snap[idx] = h, z
 

@@ -25,7 +25,9 @@ softmax followed by negative log-probabilities of designated positives.
 
 Batch reduction is a plain sum by default; "mean" divides every term by
 the batch size so the three terms stay mutually comparable either way.
-Each term ends in one scale of its masked sum, by -1 or by -1/B.
+Each term ends in one ``ndgrad.masked_nll`` node over its raw scores:
+the 1/tau scale, the row log-softmax, the mask, the sum and one scale of
+that sum, by -1 or by -1/B.
 Keys arrive as one ``KeyBatch`` for the whole batch, and each
 contrastive loss builds one (B x (K+1)) similarity matrix from it with
 ``ndgrad.row_dot_slab``. Keys are constant arrays: gradients flow to the
@@ -85,12 +87,12 @@ def _check_labels(labels: np.ndarray, class_count: int) -> np.ndarray:
     return labels
 
 
-def _masked_nll(logp: Tensor, mask: np.ndarray, reduction: str = "sum") -> Tensor:
-    """-sum(logp * mask), divided by the batch size under "mean": one scale, by -1 or -1/B."""
+def _masked_nll(scores: Tensor, mask: np.ndarray, reduction: str = "sum", inv_tau: float | None = None) -> Tensor:
+    """-sum(log_softmax_row(scores * inv_tau) * mask), divided by the batch size under "mean": one node."""
     if reduction not in REDUCTIONS:
         raise ValueError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
-    scale = -1.0 / logp.shape[0] if reduction == "mean" else -1.0
-    return nd.scale_by_scalar(nd.sum(nd.mul(logp, Tensor(mask))), scale)
+    scale = -1.0 / scores.shape[0] if reduction == "mean" else -1.0
+    return nd.masked_nll(scores, mask, scale, inv_tau)
 
 
 def _check_keys(keys: KeyBatch, labels: np.ndarray, b: int, rows: np.ndarray, dim: int, what: str) -> None:
@@ -112,7 +114,7 @@ def ce(logits: Tensor, labels: np.ndarray, reduction: str = "sum") -> Tensor:
         raise nd.ShapeError(f"{labels.shape[0]} labels for batch of {b}")
     onehot = np.zeros((b, c))
     onehot[np.arange(b), labels] = 1.0
-    return _masked_nll(nd.log_softmax_row(logits), onehot, reduction)
+    return _masked_nll(logits, onehot, reduction)
 
 
 def info_nce(q: Tensor, keys: KeyBatch, positive_index: int, tau: float) -> Tensor:
@@ -123,10 +125,9 @@ def info_nce(q: Tensor, keys: KeyBatch, positive_index: int, tau: float) -> Tens
     n = keys.size + 1
     if not 0 <= positive_index < n:
         raise IndexError(f"positive_index {positive_index} out of range [0, {n})")
-    sims = nd.scale_by_scalar(nd.row_dot_slab(q, keys.z_keys), 1.0 / tau)
     mask = np.zeros((q.shape[0], n))
     mask[:, positive_index] = 1.0
-    return _masked_nll(nd.log_softmax_row(sims), mask)
+    return _masked_nll(nd.row_dot_slab(q, keys.z_keys), mask, inv_tau=1.0 / tau)
 
 
 def cce(
@@ -159,14 +160,14 @@ def cce(
     e0 = np.zeros((d, n))
     e0[:, 0] = 1.0
     slot0 = nd.matmul(nd.mul(proto, h_q_norm), Tensor(e0))
-    sims = nd.scale_by_scalar(nd.add(nd.row_dot_slab(proto, bank), slot0), 1.0 / tau)
+    sims = nd.add(nd.row_dot_slab(proto, bank), slot0)
     positives = keys.positive_mask(labels)
     if variant == "literal":
         mask = np.zeros((b, n))
         mask[:, 0] = positives.sum(axis=1)
     else:
         mask = positives.astype(float)
-    return _masked_nll(nd.log_softmax_row(sims), mask, reduction)
+    return _masked_nll(sims, mask, reduction, 1.0 / tau)
 
 
 def ccl(
@@ -181,8 +182,8 @@ def ccl(
     b, L = z_q.shape
     labels = np.asarray(labels, dtype=np.int64)
     _check_keys(keys, labels, b, keys.z_keys, L, "projection")
-    sims = nd.scale_by_scalar(nd.row_dot_slab(z_q, keys.z_keys), 1.0 / tau)
-    return _masked_nll(nd.log_softmax_row(sims), keys.positive_mask(labels).astype(float), reduction)
+    sims = nd.row_dot_slab(z_q, keys.z_keys)
+    return _masked_nll(sims, keys.positive_mask(labels).astype(float), reduction, 1.0 / tau)
 
 
 def joint_total(terms: LossTerms) -> Tensor:
@@ -208,14 +209,14 @@ def joint_total(terms: LossTerms) -> Tensor:
 
 
 def objective(
-    h: Tensor, z: Tensor, logits: Tensor, labels: np.ndarray, W: Tensor, keys: KeyBatch | None, cfg: LossesConfig
+    h: Tensor, z: Tensor | None, logits: Tensor, labels: np.ndarray, W: Tensor, keys: KeyBatch | None, cfg: LossesConfig
 ) -> LossTerms:
     """The enabled terms of the joint loss and their total, as ``cfg`` weights them.
 
     ``h`` is the raw feature (``cce`` normalizes it), ``z`` the unit
-    projection, ``W`` the classifier prototypes; ``keys`` may be None
-    when both contrastive terms are off. ``terms.total`` is set, and
-    ``terms.h_norm`` when ``cce`` is on.
+    projection, ``W`` the classifier prototypes; ``z`` may be None when
+    ``ccl`` is off, and ``keys`` when both contrastive terms are off.
+    ``terms.total`` is set, and ``terms.h_norm`` when ``cce`` is on.
     """
     terms = LossTerms(weights=cfg.weights())
     w_ce, w_cce, w_ccl = terms.weights

@@ -122,7 +122,7 @@ def _encode(layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
     h = x
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        h = nd.add(nd.matmul(h, w), b)
+        h = nd.linear(h, w, b)
         if i != last:
             h = nd.relu(h)
     return h
@@ -132,26 +132,23 @@ def _features_and_logits(params: ModelParams, x: Tensor) -> tuple[Tensor, Tensor
     if x.data.ndim != 2 or x.shape[1] != params.dims.in_dim:
         raise ShapeError(f"expected input (b x {params.dims.in_dim}), got {x.shape}")
     h = _encode(params.encoder_layers, x)
-    logits = nd.matmul(h, nd.transpose(params.classifier_W))
-    if params.classifier_b is not None:
-        logits = nd.add(logits, params.classifier_b)
-    return h, logits
+    return h, nd.linear(h, params.classifier_W, params.classifier_b, w_rows=True)
 
 
 def _project(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """The projector head: affine map onto the unit sphere."""
-    return nd.row_l2_normalize(nd.add(nd.matmul(h, w), b))
+    return nd.row_l2_normalize(nd.linear(h, w, b))
 
 
-def forward_query(params: ModelParams, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+def forward_query(params: ModelParams, x: Tensor, project: bool = True) -> tuple[Tensor, Tensor | None, Tensor]:
     """Live forward pass: features h, unit projection z, class logits.
 
     h is left unnormalized (the classifier consumes it raw); z is the
-    projector output scaled to the unit sphere. Everything stays on the
-    gradient tape.
+    projector output scaled to the unit sphere, or None without
+    ``project``. Everything stays on the gradient tape.
     """
     h, logits = _features_and_logits(params, x)
-    return h, _project(h, params.projector_w, params.projector_b), logits
+    return h, _project(h, params.projector_w, params.projector_b) if project else None, logits
 
 
 def forward_logits(params: ModelParams, x: Tensor) -> Tensor:
@@ -205,7 +202,7 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelParams:
-    """Read a checkpoint back into the layout its dims give, checking every tensor's shape."""
+    """Read a checkpoint back into the layout its dims give, checking every tensor's name and shape."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != CHECKPOINT_FORMAT:
@@ -218,6 +215,9 @@ def load_checkpoint(path: str) -> ModelParams:
         raise ValueError(f"checkpoint {path} has no dims key {exc.args[0]!r}") from None
     params = ModelParams(dims, bool(doc.get("classifier_bias")))
     tensors = doc.get("tensors", {})
+    unknown = sorted(set(tensors) - set(params.slices))
+    if unknown:
+        raise ValueError(f"checkpoint {path} has tensor {unknown[0]!r}, which its parameter layout does not name")
     for name, t in params.named_parameters():
         entry = tensors.get(name, {})
         if "data" not in entry or "shape" not in entry:

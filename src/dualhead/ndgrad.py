@@ -161,14 +161,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(a.data @ b.data, "matmul", (a, b), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D operand, got {a.shape}")
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None, w_rows: bool = False) -> Tensor:
+    """x @ w (+ b) as one node; ``w_rows`` takes w as (out x in) rows, giving x @ w.T.
+
+    The rows form multiplies by a contiguous copy of w.T, never by the
+    transposed view: the two can round differently.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ShapeError(f"linear needs 2-D operands, got {x.shape} and {w.shape}")
+    wt = w.data.T.copy() if w_rows else w.data
+    if x.shape[1] != wt.shape[0]:
+        raise ShapeError(f"linear inner dims disagree: {x.shape} x {wt.shape}")
+    if b is not None and b.shape != (wt.shape[1],):
+        raise ShapeError(f"linear bias shape {b.shape} != ({wt.shape[1]},)")
+    out = x.data @ wt
+    if b is not None:
+        out = out + b.data
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, g.T)
+        if b is not None:
+            _accumulate(b, g.sum(axis=0))
+        _accumulate(x, g @ wt.T)
+        _accumulate(w, (x.data.T @ g).T if w_rows else x.data.T @ g)
 
-    return _from_op(a.data.T.copy(), "transpose", (a,), backward)
+    return _from_op(out, "linear", (x, w) if b is None else (x, w, b), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -279,7 +295,7 @@ def row_l2_normalize(a: Tensor) -> Tensor:
     """
     if a.data.ndim != 2:
         raise ShapeError(f"row_l2_normalize needs a 2-D operand, got {a.shape}")
-    norms = np.linalg.norm(a.data, axis=1, keepdims=True)
+    norms = np.sqrt(np.add.reduce(a.data * a.data, axis=1, keepdims=True))  # np.linalg.norm's sum, bit for bit
     if not np.isfinite(norms).all():
         raise NonFiniteError("row norm overflowed in row_l2_normalize")
     if (norms < NORM_EPS).any():
@@ -295,14 +311,25 @@ def row_l2_normalize(a: Tensor) -> Tensor:
     return _from_op(out, "row_l2_normalize", (a,), backward)
 
 
-def log_softmax_row(a: Tensor) -> Tensor:
-    """Row-wise log-softmax, stabilized by max subtraction."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"log_softmax_row needs a 2-D operand, got {a.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def masked_nll(scores: Tensor, mask: np.ndarray, scale: float, inv_tau: float | None = None) -> Tensor:
+    """scale * sum(log_softmax_row(scores * inv_tau) * mask) as one node, the row max shifted out.
+
+    Forward and backward repeat, step for step, the arithmetic of the
+    separate scale, log-softmax, mask, sum and scale ops they replace.
+    """
+    mask = np.asarray(mask, dtype=np.float64)
+    if scores.data.ndim != 2 or mask.shape != scores.shape:
+        raise ShapeError(f"masked_nll needs 2-D scores and a mask of their shape, got {scores.shape} and {mask.shape}")
+    _check_finite(mask, "masked_nll mask")
+    scale = float(scale)
+    s = scores.data if inv_tau is None else scores.data * inv_tau
+    shifted = s - s.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    _check_finite(logp, "masked_nll")
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, g - np.exp(out) * g.sum(axis=1, keepdims=True))
+        gl = np.full_like(logp, float(g * scale)) * mask
+        gs = gl - np.exp(logp) * gl.sum(axis=1, keepdims=True)
+        _accumulate(scores, gs if inv_tau is None else gs * inv_tau)
 
-    return _from_op(out, "log_softmax_row", (a,), backward)
+    return _from_op(np.asarray((logp * mask).sum()) * scale, "masked_nll", (scores,), backward)

@@ -15,10 +15,11 @@ One training step runs a fixed pipeline:
 
 Keys are sampled before the batch is enqueued, so a batch never contrasts
 against its own fresh keys. When every contrastive term is disabled the
-step collapses to vanilla fine-tuning and skips stages 2, 3, 5 and 6
-entirely. In memory-bank mode the twin is used only to initialize the
-snapshots during warm-up; afterwards keys live in the bank and stage 6
-mixes in the *live* (detached) query features.
+step collapses to vanilla fine-tuning: stage 1 skips the projector, and
+stages 2, 3, 5 and 6 are skipped entirely. In memory-bank mode the twin
+is used only to initialize the snapshots during warm-up; afterwards keys
+live in the bank and stage 6 mixes in the *live* (detached) query
+features.
 
 Determinism: a run's randomness comes from named substreams spawned from
 the run seed (dataset, split, subsample, init, batching, sampling), so
@@ -151,7 +152,7 @@ def step(
     bank_mode = isinstance(pool, MemoryBank)
 
     x = Tensor(x_np)
-    h_q, z_q, logits = model_mod.forward_query(params, x)
+    h_q, z_q, logits = model_mod.forward_query(params, x, project=contrastive)  # nothing reads z in a CE-only step
 
     keys = None
     if contrastive:

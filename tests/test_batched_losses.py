@@ -7,8 +7,10 @@ fixtures the batched (B x (K+1)) losses must match them in value and in
 every parameter gradient.
 
 ``_reduce`` is the batch reduction as a separate scale, the form each term
-had before the reduction was folded into its one ``scale_by_scalar``; the
-folded terms must equal that chain bit for bit.
+had before the reduction was folded into its one scale. Each term is now
+one ``masked_nll`` node; it must equal the unfused chain (the 1/tau scale,
+the log-softmax, the mask, the sum, the -1 scale, then ``_reduce``) bit
+for bit.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from dualhead.keypool import KeyBatch
 from dualhead.losses import CCE_VARIANTS, REDUCTIONS, _check_labels, _check_tau, ccl, cce, objective
 from dualhead.model import ModelDims
 from dualhead.ndgrad import Tensor
+from unfused import log_softmax_row, transpose
 
 MATCH_TOL = 1e-12
 
@@ -49,8 +52,8 @@ def loop_cce(h_q_norm, labels, W, keys, tau, variant="literal", reduction="sum")
         if keys.size:
             bank = nd.concat_rows([bank, Tensor(keys.h_keys[i, 1:])])
         proto = nd.select_rows(W, [y])
-        sims = nd.scale_by_scalar(nd.matmul(proto, nd.transpose(bank)), 1.0 / tau)
-        logp = nd.log_softmax_row(sims)
+        sims = nd.scale_by_scalar(nd.matmul(proto, transpose(bank)), 1.0 / tau)
+        logp = log_softmax_row(sims)
         positives = keys.labels[i] == y
         if variant == "literal":
             mask = np.zeros((1, keys.size + 1))
@@ -72,8 +75,8 @@ def loop_ccl(z_q, labels, keys, tau, reduction="sum"):
         y = int(labels[i])
         assert int(keys.labels[i, 0]) == y
         q = nd.select_rows(z_q, [i])
-        sims = nd.scale_by_scalar(nd.matmul(q, nd.transpose(Tensor(keys.z_keys[i]))), 1.0 / tau)
-        logp = nd.log_softmax_row(sims)
+        sims = nd.scale_by_scalar(nd.matmul(q, transpose(Tensor(keys.z_keys[i]))), 1.0 / tau)
+        logp = log_softmax_row(sims)
         mask = (keys.labels[i] == y)[None, :].astype(float)
         term = nd.scale_by_scalar(nd.sum(nd.mul(logp, Tensor(mask))), -1.0)
         total = term if total is None else nd.add(total, term)
@@ -135,9 +138,10 @@ def test_batched_matches_loop_on_a_training_sized_batch():
     assert abs(got - want) <= MATCH_TOL * max(1.0, abs(want))
 
 
-def _two_scale_masked_nll(logp, mask, reduction="sum"):
-    """The unfolded chain: x(-1) on the masked sum, then the reduction's own x(1/B)."""
-    return _reduce(nd.scale_by_scalar(nd.sum(nd.mul(logp, Tensor(mask))), -1.0), reduction, logp.shape[0])
+def _two_scale_masked_nll(scores, mask, reduction="sum", inv_tau=None):
+    """The unfused chain: x(1/tau), log-softmax, mask, sum, x(-1), then the reduction's own x(1/B)."""
+    logp = log_softmax_row(scores if inv_tau is None else nd.scale_by_scalar(scores, inv_tau))
+    return _reduce(nd.scale_by_scalar(nd.sum(nd.mul(logp, Tensor(mask))), -1.0), reduction, scores.shape[0])
 
 
 # One enabled term each, so the objective's total is that term itself.
@@ -186,15 +190,20 @@ def test_folded_reduction_is_bitwise_the_two_scale_chain(term, reduction, monkey
             np.testing.assert_array_equal(got_grads[name], g, err_msg=f"seed {seed}, {name}")
 
 
+# The node that computes each term's raw scores: the logits, or the similarity matrix.
+SCORES_OP = {"ce": "linear", "cce_literal": "add", "cce_per_key": "add", "ccl": "row_dot_slab"}
+
+
 @pytest.mark.parametrize("reduction", REDUCTIONS)
 @pytest.mark.parametrize("term", SINGLE_TERMS)
 def test_each_term_ends_in_one_scale_after_its_sum(term, reduction):
+    # The scale after the sum, like the 1/tau scale, the log-softmax and the mask, is inside one masked_nll node.
     params, x, y, keys = batch_fixture(0, 5)
     cfg = LossesConfig(reduction=reduction, **SINGLE_TERMS[term])
     h, z, logits = model_mod.forward_query(params, x)
     out = objective(h, z, logits, y, params.classifier_W, keys, cfg).total
-    assert out._op == "scale_by_scalar"
-    assert out._parents[0]._op == "sum"
+    assert out._op == "masked_nll"
+    assert [p._op for p in out._parents] == [SCORES_OP[term]]
 
 
 class TestKeyChecks:

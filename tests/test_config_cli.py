@@ -476,6 +476,26 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(named) in err and f"its dims give shape {shape}" in err
 
+    @pytest.mark.parametrize("edit", ["flip_bias_flag", "extra_tensor"])
+    def test_checkpoint_tensor_outside_the_layout_is_a_validation_error(self, tmp_path, capsys, edit):
+        # A tensor the layout does not name used to be dropped without a word.
+        import dualhead.model as model_mod
+        from dualhead.model import ModelParams
+
+        params = self.constant_predictor(3)
+        ckpt = tmp_path / "ckpt.json"
+        model_mod.save_checkpoint(ModelParams(params.dims, classifier_bias=True), str(ckpt))
+        doc = json.loads(ckpt.read_text())
+        if edit == "flip_bias_flag":
+            doc["classifier_bias"], named = False, "classifier.bias"
+        else:
+            doc["tensors"]["encoder.1.weight"], named = doc["tensors"]["encoder.0.weight"], "encoder.1.weight"
+        ckpt.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), *FAST_TRAIN]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(named) in err and "parameter layout does not name" in err
+
     def test_checkpoint_with_nan_is_a_numerical_failure(self, tmp_path, capsys):
         import dualhead.model as model_mod
 

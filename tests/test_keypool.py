@@ -8,6 +8,7 @@ from dualhead.keypool import (
     KeyEntry,
     MemoryBank,
     MocoQueues,
+    _check_unit,
     _draw,
 )
 
@@ -390,3 +391,48 @@ class TestContractParity:
             assert batch.labels[0, 0] == 1
             assert isinstance(batch.h_keys, np.ndarray) and isinstance(batch.z_keys, np.ndarray)
             np.testing.assert_allclose(np.linalg.norm(batch.h_keys, axis=2), 1.0, atol=1e-9)
+
+
+def wide_rows(rng):
+    """Random rows, each scaled to its own magnitude between 1e-100 and 1e100."""
+    n, d = (int(v) for v in rng.integers(1, 9, size=2))
+    return rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-100.0, 100.0, size=(n, 1))
+
+
+class TestNormsAreTheLinalgNorm:
+    """Row norms skip np.linalg.norm's Python wrapper; every result must still be its value bit for bit."""
+
+    def test_memory_bank_initialize_and_update(self):
+        rng = np.random.default_rng(1)
+        for _ in range(500):
+            h = wide_rows(rng)
+            z = rng.normal(size=(h.shape[0], 3)) * 10.0 ** rng.uniform(-100, 100, size=(h.shape[0], 1))
+            bank = MemoryBank(np.arange(h.shape[0]) % 2, m_bank=float(rng.uniform()))
+            bank.initialize(h, z)
+            want_h = h / np.linalg.norm(h, axis=1, keepdims=True)
+            want_z = z / np.linalg.norm(z, axis=1, keepdims=True)
+            np.testing.assert_array_equal(bank.h_snap, want_h)
+            np.testing.assert_array_equal(bank.z_snap, want_z)
+            ids = rng.permutation(h.shape[0])[: int(rng.integers(1, h.shape[0] + 1))]
+            h_new = rng.normal(size=(ids.size, h.shape[1]))
+            z_new = rng.normal(size=(ids.size, 3))
+            h_new /= np.linalg.norm(h_new, axis=1, keepdims=True)
+            z_new /= np.linalg.norm(z_new, axis=1, keepdims=True)
+            bank.update(ids, h_new, z_new)
+            m = bank.m_bank
+            for snap, old, new in ((bank.h_snap, want_h, h_new), (bank.z_snap, want_z, z_new)):
+                mixed = m * old[ids] + (1.0 - m) * new
+                np.testing.assert_array_equal(snap[ids], mixed / np.linalg.norm(mixed, axis=1, keepdims=True))
+
+    def test_unit_check_reports_the_linalg_norm(self):
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            b, k, d = (int(v) for v in rng.integers(1, 6, size=3))
+            keys = rng.normal(size=(b, k, d))
+            keys /= np.linalg.norm(keys, axis=-1, keepdims=True)
+            i, j = int(rng.integers(b)), int(rng.integers(k))
+            keys[i, j] *= 1.0 + 10.0 ** rng.uniform(-8, 0)
+            with pytest.raises(ValueError) as err:
+                _check_unit(h_keys=keys)
+            # The axis form: np.linalg.norm of a lone 1-D vector takes a dot product instead.
+            assert str(err.value).endswith(f"|v|={float(np.linalg.norm(keys, axis=-1)[i, j])!r}")

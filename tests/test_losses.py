@@ -365,7 +365,7 @@ class TestInvariants:
         ])
         h_keys, z_keys = keys.h_keys.copy(), keys.z_keys.copy()
         terms = LossTerms()
-        terms.ce = ce(nd.matmul(nd.row_l2_normalize(h_raw), nd.transpose(W)), labels)
+        terms.ce = ce(nd.linear(nd.row_l2_normalize(h_raw), W, w_rows=True), labels)
         terms.cce = cce(nd.row_l2_normalize(h_raw), labels, W, keys, TAU)
         terms.ccl = ccl(nd.row_l2_normalize(z_raw), labels, keys, TAU)
         joint_total(terms).backward()

@@ -69,6 +69,15 @@ class TestRowL2Normalize:
         out = nd.row_l2_normalize(Tensor([[1.0, 0.0, 0.0]]))
         np.testing.assert_allclose(out.data, [[1.0, 0.0, 0.0]], atol=0)
 
+    def test_norms_are_the_linalg_norm(self):
+        # The norms skip np.linalg.norm's Python wrapper; the output must still be bitwise its division.
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            n, d = (int(v) for v in rng.integers(1, 9, size=2))
+            a = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-8.0, 100.0, size=(n, 1))  # above NORM_EPS
+            got = nd.row_l2_normalize(Tensor(a)).data
+            np.testing.assert_array_equal(got, a / np.linalg.norm(a, axis=1, keepdims=True))
+
     def test_zero_row_is_hard_error(self):
         with pytest.raises(DegenerateRowError):
             nd.row_l2_normalize(Tensor([[1.0, 1.0], [0.0, 0.0]]))
@@ -81,29 +90,40 @@ class TestRowL2Normalize:
         assert err < 1e-5
 
 
+def log_probs(scores: np.ndarray) -> np.ndarray:
+    """Every row log-softmax entry, read through masked_nll with a one-hot mask and scale 1."""
+    out = np.zeros_like(scores)
+    for idx in np.ndindex(*scores.shape):
+        onehot = np.zeros_like(scores)
+        onehot[idx] = 1.0
+        out[idx] = nd.masked_nll(Tensor(scores), onehot, 1.0).item()
+    return out
+
+
 class TestLogSoftmaxRow:
+    """The row log-softmax inside masked_nll."""
+
     def test_uniform_logits(self):
-        out = nd.log_softmax_row(Tensor([[0.0, 0.0, 0.0]]))
-        np.testing.assert_allclose(out.data, [[-math.log(3)] * 3], atol=1e-15)
+        np.testing.assert_allclose(log_probs(np.zeros((1, 3))), [[-math.log(3)] * 3], atol=1e-15)
 
     def test_extreme_logits_no_overflow(self):
         mp = pytest.importorskip("mpmath")
-        out = nd.log_softmax_row(Tensor([[1000.0, 0.0]]))
+        out = log_probs(np.array([[1000.0, 0.0]]))
         with mp.workdps(60):
             denom = mp.log(mp.exp(mp.mpf(1000)) + 1)
             expect = [float(mp.mpf(1000) - denom), float(-denom)]
-        np.testing.assert_allclose(out.data, [expect], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out, [expect], rtol=1e-12, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
-        out = nd.log_softmax_row(Tensor(rng.normal(size=(5, 7)) * 3))
-        np.testing.assert_allclose(np.exp(out.data).sum(axis=1), 1.0, atol=1e-12)
+        out = log_probs(rng.normal(size=(5, 7)) * 3)
+        np.testing.assert_allclose(np.exp(out).sum(axis=1), 1.0, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         a = Tensor(rng.normal(size=(3, 4)), grad_enabled=True)
-        head = Tensor(rng.normal(size=(3, 4)))
-        err = worst_relative_error(lambda: nd.sum(nd.mul(nd.log_softmax_row(a), head)), [a], floor=1e-3)
+        weights = rng.normal(size=(3, 4))
+        err = worst_relative_error(lambda: nd.masked_nll(a, weights, 1.0), [a], floor=1e-3)
         assert err < 1e-6
 
 
@@ -149,9 +169,11 @@ class TestRowDotSlab:
             nd.row_dot_slab(Tensor(np.ones(a_shape)), np.ones(slab_shape))
 
     def test_gradcheck_checks_it_in_place_of_mean(self):
-        # The op cases cover the op the losses run; the test-only mean op is gone.
+        # The op cases cover the ops the model and losses run; the ops they replaced are gone.
         assert "row_dot_slab" in OP_CASES and "mean" not in OP_CASES
-        assert not hasattr(nd, "mean")
+        assert {"linear", "masked_nll"} <= set(OP_CASES)
+        for gone in ("mean", "transpose", "log_softmax_row"):
+            assert gone not in OP_CASES and not hasattr(nd, gone)
         assert len(OP_CASES) + len(LOSS_CASES) == 19
 
 
@@ -188,7 +210,8 @@ class TestPlumbingOps:
         np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
 
     def test_transpose(self):
-        out = nd.transpose(Tensor([[1.0, 2.0, 3.0]]))
+        # The rows form of linear multiplies by w.T: with x the identity, out is w.T itself.
+        out = nd.linear(Tensor(np.eye(3)), Tensor([[1.0, 2.0, 3.0]]), w_rows=True)
         np.testing.assert_array_equal(out.data, [[1.0], [2.0], [3.0]])
 
     @pytest.mark.parametrize(
@@ -240,8 +263,7 @@ class TestTapeSemantics:
 
         def forward():
             h = nd.relu(nd.add(nd.matmul(a, b), bias))
-            s = nd.log_softmax_row(nd.add(h, h))
-            return nd.sum(nd.mul(s, head))
+            return nd.masked_nll(nd.add(h, nd.linear(a, b, bias)), head.data, 1.0)
 
         assert worst_relative_error(forward, [a, b, bias]) <= 1e-4
 
@@ -286,7 +308,7 @@ class TestGradientOwnership:
         head = Tensor(rng.normal(size=(2, 3)))
 
         def build():
-            t = nd.transpose(a)  # backward hands a a view: g.T
+            t = nd.linear(Tensor(np.eye(3)), a, w_rows=True)  # a.T; backward hands a a view: (x.T @ g).T
             via_t = nd.mul(t, head_t)
             direct = nd.mul(nd.relu(a), head)
             terms = [nd.sum(via_t), nd.sum(direct)]
@@ -304,6 +326,6 @@ class TestGradientOwnership:
 
         def build():
             stacked = nd.concat_rows([a, b, a])  # each part gets a slice view of g; a gets two
-            return nd.sum(nd.mul(nd.log_softmax_row(stacked), head)), [stacked]
+            return nd.masked_nll(stacked, head.data, 1.0), [stacked]
 
         self.check(build, [a, b])

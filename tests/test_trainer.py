@@ -205,6 +205,34 @@ class TestStep:
         assert abs(terms.total.item() - expect) <= 1e-12
         assert len(pool) == 0  # vanilla fine-tuning touches no key machinery
 
+    def test_ce_only_step_skips_the_projector(self, monkeypatch):
+        # Nothing reads z in a CE-only step, so the projector (the step's only normalization) never runs.
+        import dualhead.ndgrad as nd
+
+        cfg = small_cfg(losses__cce=0.0, losses__ccl=0.0)
+        _, params, twin, pool, opt, batch = self.setup_run(cfg, warm=False)
+        real, inputs = nd.row_l2_normalize, []
+        monkeypatch.setattr(nd, "row_l2_normalize", lambda t: inputs.append(t) or real(t))
+        step(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
+        assert inputs == []
+
+    @pytest.mark.parametrize(
+        "over, most",
+        [
+            (dict(losses__cce=0.0, losses__ccl=0.0), 6),  # linear, relu, linear, logits linear, masked_nll
+            (dict(keys__generator="membank"), 20),
+        ],
+    )
+    def test_tape_nodes_per_step(self, monkeypatch, over, most):
+        import dualhead.ndgrad as nd
+
+        cfg = small_cfg(**over)
+        _, params, twin, pool, opt, batch = self.setup_run(cfg)
+        real, ops = nd._from_op, []
+        monkeypatch.setattr(nd, "_from_op", lambda arr, op, *rest: ops.append(op) or real(arr, op, *rest))
+        step(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
+        assert len(ops) <= most, ops
+
     def test_zero_learning_rate_freezes_parameters(self):
         cfg = small_cfg(base_lr=0.0)
         _, params, twin, pool, opt, batch = self.setup_run(cfg)
