@@ -10,14 +10,17 @@ Loss cases differentiate through a real model (encoder, classifier,
 projector), so a broken backward rule anywhere in the chain surfaces
 here. Every loss case but ``info_nce`` is just a ``LossesConfig`` run
 through ``losses.objective``, the function the training step calls, so
-the checks cover the objective that is trained, not a copy of it. Op and
+the checks cover the objective that is trained, not a copy of it, with
+the reduction and the classifier bias drawn per instance. Every case,
+one per op form the model and losses run, checks the same coordinates
+on every seed. Op and
 loss builders call their targets through module attributes, which lets a
 test inject a corrupted rule and confirm it is caught.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,7 +28,7 @@ import numpy as np
 from . import losses as losses_mod
 from . import model as model_mod
 from . import ndgrad as nd
-from .config import LossesConfig
+from .config import REDUCTIONS, LossesConfig
 from .keypool import KeyBatch
 from .model import ModelDims
 from .ndgrad import Tensor
@@ -97,26 +100,24 @@ def _case_matmul(rng):
     return lambda: _head(nd.matmul(a, b), r), [a, b]
 
 
-def _case_linear(rng):
-    # Each instance draws its weight form: (in x out), or the (out x in) rows of the logits.
-    w_rows = bool(rng.integers(2))
-    x = Tensor(rng.normal(size=(2, 3)), grad_enabled=True)
-    w = Tensor(rng.normal(size=(2, 3) if w_rows else (3, 2)), grad_enabled=True)
-    b = Tensor(rng.normal(size=2), grad_enabled=True)
-    r = rng.normal(size=(2, 2))
-    return lambda: _head(nd.linear(x, w, b, w_rows=w_rows), r), [x, w, b]
+def _linear_case(rows: bool):
+    """linear in the (in x out) form with a bias (encoder layers, projector), or over the (out x in)
+    prototype rows of the logits, with a bias drawn per instance; an unread bias is still checked."""
+
+    def build(rng):
+        x = Tensor(rng.normal(size=(2, 3)), grad_enabled=True)
+        w = Tensor(rng.normal(size=(2, 3) if rows else (3, 2)), grad_enabled=True)
+        b = Tensor(rng.normal(size=2), grad_enabled=True)
+        r = rng.normal(size=(2, 2))
+        used = None if rows and rng.integers(2) else b
+        return lambda: _head(nd.linear(x, w, used, w_rows=rows), r), [x, w, b]
+
+    return build
 
 
 def _case_add(rng):
     a = Tensor(rng.normal(size=(3, 4)), grad_enabled=True)
     b = Tensor(rng.normal(size=(3, 4)), grad_enabled=True)
-    r = rng.normal(size=(3, 4))
-    return lambda: _head(nd.add(a, b), r), [a, b]
-
-
-def _case_add_bias(rng):
-    a = Tensor(rng.normal(size=(3, 4)), grad_enabled=True)
-    b = Tensor(rng.normal(size=4), grad_enabled=True)
     r = rng.normal(size=(3, 4))
     return lambda: _head(nd.add(a, b), r), [a, b]
 
@@ -163,42 +164,39 @@ def _case_select_rows(rng):
     return lambda: _head(nd.select_rows(a, idx), r), [a]
 
 
-def _case_concat_rows(rng):
-    a = Tensor(rng.normal(size=(2, 3)), grad_enabled=True)
-    b = Tensor(rng.normal(size=(3, 3)), grad_enabled=True)
-    r = rng.normal(size=(5, 3))
-    return lambda: _head(nd.concat_rows([a, b]), r), [a, b]
-
-
 def _case_row_l2_normalize(rng):
     a = Tensor(rng.normal(size=(2, 5)) + 0.5, grad_enabled=True)
     r = rng.normal(size=(2, 5))
     return lambda: _head(nd.row_l2_normalize(a), r), [a]
 
 
-def _case_masked_nll(rng):
-    # Each instance draws whether a temperature scale comes first; the op's output is already a scalar.
-    inv_tau = float(rng.uniform(0.5, 3.0)) if rng.integers(2) else None
-    a = Tensor(rng.normal(size=(3, 4)), grad_enabled=True)
-    mask = rng.integers(0, 3, size=(3, 4)).astype(float)  # multiplicities, as cce's literal variant weights
-    scale = float(rng.normal())
-    return lambda: nd.masked_nll(a, mask, scale, inv_tau), [a]
+def _masked_nll_case(tau: bool):
+    """masked_nll as ce runs it, or with the 1/tau scale first as info_nce, cce and ccl do; a scalar already."""
+
+    def build(rng):
+        inv_tau = float(rng.uniform(0.5, 3.0)) if tau else None
+        a = Tensor(rng.normal(size=(3, 4)), grad_enabled=True)
+        mask = rng.integers(0, 3, size=(3, 4)).astype(float)  # multiplicities, as cce's literal variant weights
+        scale = float(rng.normal())
+        return lambda: nd.masked_nll(a, mask, scale, inv_tau), [a]
+
+    return build
 
 
 OP_CASES: dict[str, Callable] = {
     "matmul": _case_matmul,
-    "linear": _case_linear,
+    "linear": _linear_case(rows=False),
+    "linear_rows": _linear_case(rows=True),
     "add": _case_add,
-    "add_bias": _case_add_bias,
     "mul": _case_mul,
     "scale_by_scalar": _case_scale_by_scalar,
     "relu": _case_relu,
     "sum": _case_sum,
     "row_dot_slab": _case_row_dot_slab,
     "select_rows": _case_select_rows,
-    "concat_rows": _case_concat_rows,
     "row_l2_normalize": _case_row_l2_normalize,
-    "masked_nll": _case_masked_nll,
+    "masked_nll": _masked_nll_case(tau=False),
+    "masked_nll_tau": _masked_nll_case(tau=True),
 }
 
 
@@ -223,8 +221,11 @@ def _random_key_batch(rng, k: int, d: int, L: int, c: int, slot0_labels: np.ndar
 
 
 def _loss_fixture(rng, tau: float = 0.07):
+    # Each instance draws whether the logits read the classifier bias; an unread one is still checked.
     dims = ModelDims(in_dim=3, hidden=(4,), feature_dim=6, class_count=3, projector_dim=5)
-    params = model_mod.init_params(dims, rng)
+    params = model_mod.init_params(dims, rng, classifier_bias=True)
+    if rng.integers(2):
+        params.classifier_b = None
     b = 2
     x = Tensor(rng.normal(size=(b, dims.in_dim)))
     y = rng.integers(0, dims.class_count, size=b).astype(np.int64)
@@ -246,14 +247,15 @@ def _case_info_nce(rng):
 
 
 def _objective_case(cfg: LossesConfig):
-    """The training objective itself, with the terms and variant cfg selects."""
+    """The training objective itself, with the terms and variant cfg selects; each instance draws the reduction."""
 
     def build(rng):
         params, x, y, keys, _, wrt = _loss_fixture(rng)
+        drawn = replace(cfg, reduction=REDUCTIONS[int(rng.integers(len(REDUCTIONS)))])
 
         def forward() -> Tensor:
             h, z, logits = model_mod.forward_query(params, x)
-            return losses_mod.objective(h, z, logits, y, params.classifier_W, keys, cfg).total
+            return losses_mod.objective(h, z, logits, y, params.classifier_W, keys, drawn).total
 
         return forward, wrt
 

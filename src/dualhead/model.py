@@ -128,13 +128,6 @@ def _encode(layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
     return h
 
 
-def _features_and_logits(params: ModelParams, x: Tensor) -> tuple[Tensor, Tensor]:
-    if x.data.ndim != 2 or x.shape[1] != params.dims.in_dim:
-        raise ShapeError(f"expected input (b x {params.dims.in_dim}), got {x.shape}")
-    h = _encode(params.encoder_layers, x)
-    return h, nd.linear(h, params.classifier_W, params.classifier_b, w_rows=True)
-
-
 def _project(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """The projector head: affine map onto the unit sphere."""
     return nd.row_l2_normalize(nd.linear(h, w, b))
@@ -145,15 +138,13 @@ def forward_query(params: ModelParams, x: Tensor, project: bool = True) -> tuple
 
     h is left unnormalized (the classifier consumes it raw); z is the
     projector output scaled to the unit sphere, or None without
-    ``project``. Everything stays on the gradient tape.
+    ``project``, the evaluation path. Everything stays on the gradient tape.
     """
-    h, logits = _features_and_logits(params, x)
+    if x.data.ndim != 2 or x.shape[1] != params.dims.in_dim:
+        raise ShapeError(f"expected input (b x {params.dims.in_dim}), got {x.shape}")
+    h = _encode(params.encoder_layers, x)
+    logits = nd.linear(h, params.classifier_W, params.classifier_b, w_rows=True)
     return h, _project(h, params.projector_w, params.projector_b) if project else None, logits
-
-
-def forward_logits(params: ModelParams, x: Tensor) -> Tensor:
-    """Deployment path: features to logits, skipping the projector."""
-    return _features_and_logits(params, x)[1]
 
 
 def forward_key(twin: MomentumTwin, x: Tensor) -> tuple[np.ndarray, np.ndarray]:

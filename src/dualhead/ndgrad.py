@@ -22,7 +22,7 @@ buffer: it never aliases an upstream gradient or another tensor's buffer.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -188,14 +188,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, w_rows: bool = False) 
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a 1-D ``b`` as a per-row bias."""
-    bias = a.data.ndim == 2 and b.data.ndim == 1 and b.shape[0] == a.shape[1]
-    if not bias and a.shape != b.shape:
+    """Elementwise sum of same-shape tensors (terms of the joint loss, cce's slot 0)."""
+    if a.shape != b.shape:
         raise ShapeError(f"add shapes disagree: {a.shape} vs {b.shape}")
 
     def backward(g: np.ndarray) -> None:
         _accumulate(a, g)
-        _accumulate(b, g.sum(axis=0) if bias else g)
+        _accumulate(b, g)
 
     return _from_op(a.data + b.data, "add", (a, b), backward)
 
@@ -268,23 +267,6 @@ def row_dot_slab(a: Tensor, slab: np.ndarray) -> Tensor:
         _accumulate(a, np.einsum("bn,bnd->bd", g, slab))
 
     return _from_op(np.einsum("bd,bnd->bn", a.data, slab), "row_dot_slab", (a,), backward)
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack 2-D tensors vertically."""
-    if not parts:
-        raise ShapeError("concat_rows needs at least one part")
-    cols = parts[0].shape[1] if parts[0].data.ndim == 2 else None
-    for p in parts:
-        if p.data.ndim != 2 or p.shape[1] != cols:
-            raise ShapeError("concat_rows parts must be 2-D with equal column counts")
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
-
-    def backward(g: np.ndarray) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[lo:hi])
-
-    return _from_op(np.concatenate([p.data for p in parts], axis=0), "concat_rows", tuple(parts), backward)
 
 
 def row_l2_normalize(a: Tensor) -> Tensor:

@@ -10,15 +10,18 @@ One training step runs a fixed pipeline:
    folded into the gradient, boosted learning rate for the heads);
 5. momentum update of the twin's vector (after the optimizer step, so
    keys always come from the slow weights);
-6. the batch's keys join the pool (queue append, or snapshot mixing in
-   memory-bank mode).
+6. the batch's keys join the pool: a queue append (none on the step
+   whose keys seeded a deferred queue), or snapshot mixing in
+   memory-bank mode.
 
 Keys are sampled before the batch is enqueued, so a batch never contrasts
-against its own fresh keys. When every contrastive term is disabled the
-step collapses to vanilla fine-tuning: stage 1 skips the projector, and
-stages 2, 3, 5 and 6 are skipped entirely. In memory-bank mode the twin
-is used only to initialize the snapshots during warm-up; afterwards keys
-live in the bank and stage 6 mixes in the *live* (detached) query
+against its own fresh keys, save the first step of a deferred queue
+warm-up, whose keys seed the empty queues ahead of its draw. When every
+contrastive term is disabled the step collapses to vanilla fine-tuning:
+stage 1 skips the projector, and stages 2, 3, 5 and 6 are skipped
+entirely. In memory-bank mode the twin is used only to initialize the
+snapshots in the warm-up, which always runs before step 1; afterwards
+keys live in the bank and stage 6 mixes in the *live* (detached) query
 features.
 
 Determinism: a run's randomness comes from named substreams spawned from
@@ -160,6 +163,9 @@ def step(
             keys = pool.sample(cfg.keys.keys_per_class, *pool.entry(ids), rng, uniform=cfg.keys.bank_uniform)
         else:
             h_k, z_k = model_mod.forward_key(twin, x)
+            seeding = len(pool) == 0 and cfg.keys.warmup_mode == "defer"
+            if seeding:  # a deferred warm-up: this batch's keys are the pool's first
+                pool.enqueue(h_k, z_k, y)
             keys = pool.sample(cfg.keys.keys_per_class, h_k, z_k, y, rng)
 
     terms = losses_mod.objective(h_q, z_q, logits, y, params.classifier_W, keys, cfg.losses)
@@ -172,7 +178,8 @@ def step(
             pool.update(ids, h_norm.data, z_q.data)
         else:
             model_mod.momentum_update(twin, params)
-            pool.enqueue(h_k, z_k, y)
+            if not seeding:
+                pool.enqueue(h_k, z_k, y)
     return terms
 
 
@@ -181,15 +188,17 @@ def warmup(twin: MomentumTwin, pool: MocoQueues | MemoryBank, ds: data_mod.Datas
 
     Queue mode forwards the newest queue_size examples of each class (in
     dataset order), so every present class starts with a full buffer.
-    Bank mode snapshots every example.
+    Bank mode snapshots every example, 256 rows a forward.
     """
     if len(ds) == 0:
         raise data_mod.DataError("cannot warm up from an empty dataset")
-    order = np.arange(0)
     if isinstance(pool, MocoQueues):
         newest = [np.flatnonzero(ds.labels == c)[-pool.queue_size:] for c in range(ds.class_count)]
         order = np.sort(np.concatenate(newest))
-    _fill_through_twin(twin, pool, ds, ds.features[order], ds.labels[order])
+        pool.enqueue(*model_mod.forward_key(twin, Tensor(ds.features[order])), ds.labels[order])
+        return
+    parts = [model_mod.forward_key(twin, Tensor(ds.features[lo:lo + 256])) for lo in range(0, len(ds), 256)]
+    pool.initialize(np.vstack([h for h, _ in parts]), np.vstack([z for _, z in parts]))
 
 
 def evaluate(params: ModelParams, ds: data_mod.Dataset) -> float:
@@ -197,7 +206,7 @@ def evaluate(params: ModelParams, ds: data_mod.Dataset) -> float:
     the lowest class index."""
     if len(ds) == 0:
         raise data_mod.DataError("cannot evaluate on an empty dataset")
-    logits = model_mod.forward_logits(params, Tensor(ds.features))
+    _, _, logits = model_mod.forward_query(params, Tensor(ds.features), project=False)
     pred = np.argmax(logits.data, axis=1)
     return float(np.mean(pred == ds.labels))
 
@@ -276,8 +285,8 @@ def fit(cfg: RunConfig) -> TrainRun:
 
     _, w_cce, w_ccl = cfg.losses.weights()
     contrastive = w_cce != 0.0 or w_ccl != 0.0
-    if contrastive and cfg.keys.warmup_mode == "prefill":
-        warmup(twin, pool, train)
+    if contrastive and (cfg.keys.warmup_mode == "prefill" or isinstance(pool, MemoryBank)):
+        warmup(twin, pool, train)  # the bank twin never moves, so a deferred bank warm-up is this one
 
     opt = init_optimizer(params, cfg)
     batcher = _Batcher(len(train), cfg.optimizer.batch_size, np.random.default_rng(s_batch))
@@ -290,8 +299,6 @@ def fit(cfg: RunConfig) -> TrainRun:
         advance_schedule(opt, it)
         idx = batcher.next()
         batch = (train.features[idx], train.labels[idx], train.example_ids[idx])
-        if contrastive and cfg.keys.warmup_mode == "defer" and len(pool) == 0:
-            _fill_through_twin(twin, pool, train, batch[0], batch[1])  # the first contrastive step seeds the pool
         terms = step(params, twin, pool, batch, opt, cfg, sample_rng)
 
         due_log = it % cfg.log_every == 0
@@ -317,15 +324,6 @@ def fit(cfg: RunConfig) -> TrainRun:
         twin=twin,
         pool=pool,
     )
-
-
-def _fill_through_twin(twin: MomentumTwin, pool, ds: data_mod.Dataset, x: np.ndarray, y: np.ndarray) -> None:
-    """Key forward into the pool: a snapshot of every example of ds (bank), or the rows x (queues)."""
-    if isinstance(pool, MocoQueues):
-        pool.enqueue(*model_mod.forward_key(twin, Tensor(x)), y)
-        return
-    parts = [model_mod.forward_key(twin, Tensor(ds.features[lo:lo + 256])) for lo in range(0, len(ds), 256)]
-    pool.initialize(np.vstack([h for h, _ in parts]), np.vstack([z for _, z in parts]))
 
 
 def _fmt(x: float | None) -> str:

@@ -25,7 +25,7 @@ from dualhead.keypool import KeyBatch
 from dualhead.losses import CCE_VARIANTS, REDUCTIONS, _check_labels, _check_tau, ccl, cce, objective
 from dualhead.model import ModelDims
 from dualhead.ndgrad import Tensor
-from unfused import log_softmax_row, transpose
+from unfused import concat_rows, log_softmax_row, transpose
 
 MATCH_TOL = 1e-12
 
@@ -50,7 +50,7 @@ def loop_cce(h_q_norm, labels, W, keys, tau, variant="literal", reduction="sum")
         assert int(keys.labels[i, 0]) == y
         bank = nd.select_rows(h_q_norm, [i])
         if keys.size:
-            bank = nd.concat_rows([bank, Tensor(keys.h_keys[i, 1:])])
+            bank = concat_rows([bank, Tensor(keys.h_keys[i, 1:])])
         proto = nd.select_rows(W, [y])
         sims = nd.scale_by_scalar(nd.matmul(proto, transpose(bank)), 1.0 / tau)
         logp = log_softmax_row(sims)

@@ -9,7 +9,6 @@ from dualhead.model import (
     ModelDims,
     ModelParams,
     forward_key,
-    forward_logits,
     forward_query,
     init_params,
     init_twin,
@@ -274,7 +273,8 @@ class TestCheckpoint:
         model_mod.save_checkpoint(params, str(path))
         loaded = model_mod.load_checkpoint(str(path))
         x = Tensor(np.random.default_rng(8).normal(size=(5, 3)))
-        np.testing.assert_array_equal(forward_logits(params, x).data, forward_logits(loaded, x).data)
+        logits = [forward_query(p, x, project=False)[2].data for p in (params, loaded)]
+        np.testing.assert_array_equal(*logits)
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

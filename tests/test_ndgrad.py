@@ -13,6 +13,7 @@ from dualhead.ndgrad import (
     ShapeError,
     Tensor,
 )
+from unfused import add_bias, concat_rows
 
 
 class TestTensorBasics:
@@ -169,22 +170,28 @@ class TestRowDotSlab:
             nd.row_dot_slab(Tensor(np.ones(a_shape)), np.ones(slab_shape))
 
     def test_gradcheck_checks_it_in_place_of_mean(self):
-        # The op cases cover the ops the model and losses run; the ops they replaced are gone.
+        # One op case per op form the model and losses run; the ops they replaced, and the forms none runs, are gone.
         assert "row_dot_slab" in OP_CASES and "mean" not in OP_CASES
-        assert {"linear", "masked_nll"} <= set(OP_CASES)
-        for gone in ("mean", "transpose", "log_softmax_row"):
+        assert {"linear", "linear_rows", "masked_nll", "masked_nll_tau"} <= set(OP_CASES)
+        for gone in ("mean", "transpose", "log_softmax_row", "concat_rows"):
             assert gone not in OP_CASES and not hasattr(nd, gone)
+        assert "add_bias" not in OP_CASES
         assert len(OP_CASES) + len(LOSS_CASES) == 19
+
+    def test_every_gradcheck_instance_checks_the_same_coordinates(self):
+        # A case's work must not depend on its seed: perfbench compares exact per-case counts across runs.
+        for cases in (OP_CASES, LOSS_CASES):
+            for name, build in cases.items():
+                sizes = {sum(t.data.size for t in build(np.random.default_rng(seed))[1]) for seed in range(8)}
+                assert len(sizes) == 1, name
 
 
 class TestPlumbingOps:
-    def test_add_bias_broadcast(self):
-        out = nd.add(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([10.0, 20.0]))
-        np.testing.assert_array_equal(out.data, [[11.0, 22.0], [13.0, 24.0]])
-
     def test_add_shape_mismatch(self):
         with pytest.raises(ShapeError):
             nd.add(Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2))))
+        with pytest.raises(ShapeError):  # no 1-D bias broadcast: linear owns every bias
+            nd.add(Tensor(np.ones((2, 2))), Tensor(np.ones(2)))
 
     def test_relu_values(self):
         out = nd.relu(Tensor([[-1.0, 0.0, 2.0]]))
@@ -204,10 +211,6 @@ class TestPlumbingOps:
     def test_select_rows_out_of_range(self):
         with pytest.raises(IndexError):
             nd.select_rows(Tensor(np.ones((2, 2))), [2])
-
-    def test_concat_rows(self):
-        out = nd.concat_rows([Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0], [5.0, 6.0]])])
-        np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
 
     def test_transpose(self):
         # The rows form of linear multiplies by w.T: with x the identity, out is w.T itself.
@@ -262,7 +265,7 @@ class TestTapeSemantics:
         head = Tensor(rng.normal(size=(2, 4)))
 
         def forward():
-            h = nd.relu(nd.add(nd.matmul(a, b), bias))
+            h = nd.relu(add_bias(nd.matmul(a, b), bias))
             return nd.masked_nll(nd.add(h, nd.linear(a, b, bias)), head.data, 1.0)
 
         assert worst_relative_error(forward, [a, b, bias]) <= 1e-4
@@ -325,7 +328,7 @@ class TestGradientOwnership:
         head = Tensor(rng.normal(size=(5, 3)))
 
         def build():
-            stacked = nd.concat_rows([a, b, a])  # each part gets a slice view of g; a gets two
+            stacked = concat_rows([a, b, a])  # each part gets a slice view of g; a gets two
             return nd.masked_nll(stacked, head.data, 1.0), [stacked]
 
         self.check(build, [a, b])

@@ -265,6 +265,17 @@ class TestStep:
         with pytest.raises(EmptyPoolError):
             step(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
 
+    def test_deferred_step_seeds_an_empty_queue_once(self):
+        # The batch's twin keys are the pool's first and only keys: stage 6 must not enqueue them again.
+        cfg = small_cfg(keys__warmup_mode="defer", keys__queue_size=8)
+        _, params, twin, pool, opt, batch = self.setup_run(cfg, warm=False)
+        h_k, z_k = forward_key(twin, Tensor(batch[0]))
+        step(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
+        entries = [e for c in range(pool.class_count) for e in pool.entries(c)]
+        by_class = np.argsort(batch[1], kind="stable")
+        np.testing.assert_array_equal([e.h_key for e in entries], h_k[by_class])
+        np.testing.assert_array_equal([e.z_key for e in entries], z_k[by_class])
+
     def test_bank_mode_degenerate_feature_is_a_numerical_failure(self):
         # cce off, so only the bank update normalizes h; a zero feature row must
         # raise DegenerateRowError (exit code 2) and leave the bank untouched.
@@ -440,6 +451,26 @@ class TestWarmup:
         first = bank.h_snap.copy()
         warmup(twin, bank, ds)  # re-initialization is idempotent
         np.testing.assert_array_equal(bank.h_snap, first)
+
+    @pytest.mark.parametrize("iterations", [1, 3, 40])
+    def test_deferred_queue_takes_each_key_once(self, iterations):
+        run = fit(small_cfg(iterations=iterations, keys__warmup_mode="defer", keys__queue_size=8))
+        for c in range(run.pool.class_count):
+            rows = np.array([e.h_key for e in run.pool.entries(c)])
+            assert len(rows) > 0 and len(np.unique(rows, axis=0)) == len(rows), c
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bank_defer_is_bank_prefill(self, seed):
+        # The bank twin never moves, so a bank warms up before step 1 whatever warmup_mode says.
+        prefill, defer = (
+            fit(small_cfg(seed=seed, iterations=40, keys__generator="membank", keys__warmup_mode=mode))
+            for mode in ("prefill", "defer")
+        )
+        assert metrics_csv_lines(defer) == metrics_csv_lines(prefill)
+        for part in ("params.flat", "twin.flat", "pool.h_snap", "pool.z_snap"):
+            owner, attr = part.split(".")
+            got, want = (getattr(getattr(run, owner), attr) for run in (defer, prefill))
+            assert got.tobytes() == want.tobytes(), part
 
 
 class TestEvaluate:

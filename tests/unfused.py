@@ -1,12 +1,16 @@
 """The unfused op chains behind ``ndgrad.linear`` and ``ndgrad.masked_nll``, kept as test oracles.
 
-``transpose`` and ``log_softmax_row`` are the two separate ops the fused
-ones replaced, built on ndgrad's own node constructor exactly as the
-library once defined them. ``linear`` and ``masked_nll`` compose them with
+``transpose``, ``log_softmax_row`` and ``add_bias`` (``add``'s old 1-D
+broadcast) are separate ops the fused ones replaced, and ``concat_rows``
+builds the per-query banks of the loop oracles. All four are built on
+ndgrad's own node constructor exactly as the library once defined them.
+``linear`` and ``masked_nll`` compose them with
 the library's remaining ops node by node, in the order ``model`` and
 ``losses`` used to, and take the fused ops' signatures, so a test can
 monkeypatch them into ``dualhead.ndgrad`` and compare bit for bit.
 """
+
+from typing import Sequence
 
 import numpy as np
 
@@ -37,10 +41,39 @@ def log_softmax_row(a: Tensor) -> Tensor:
     return nd._from_op(out, "log_softmax_row", (a,), backward)
 
 
+def add_bias(a: Tensor, b: Tensor) -> Tensor:
+    """a + b with a 1-D ``b`` added to every row of a 2-D ``a``."""
+    if a.data.ndim != 2 or b.shape != (a.shape[1],):
+        raise ShapeError(f"add_bias needs (n x d) and (d,), got {a.shape} and {b.shape}")
+
+    def backward(g: np.ndarray) -> None:
+        nd._accumulate(a, g)
+        nd._accumulate(b, g.sum(axis=0))
+
+    return nd._from_op(a.data + b.data, "add", (a, b), backward)
+
+
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Stack 2-D tensors vertically."""
+    if not parts:
+        raise ShapeError("concat_rows needs at least one part")
+    cols = parts[0].shape[1] if parts[0].data.ndim == 2 else None
+    for p in parts:
+        if p.data.ndim != 2 or p.shape[1] != cols:
+            raise ShapeError("concat_rows parts must be 2-D with equal column counts")
+    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+
+    def backward(g: np.ndarray) -> None:
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            nd._accumulate(p, g[lo:hi])
+
+    return nd._from_op(np.concatenate([p.data for p in parts], axis=0), "concat_rows", tuple(parts), backward)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None, w_rows: bool = False) -> Tensor:
-    """matmul (through transpose for the rows form), then add of the bias."""
+    """matmul (through transpose for the rows form), then add_bias."""
     out = nd.matmul(x, transpose(w) if w_rows else w)
-    return out if b is None else nd.add(out, b)
+    return out if b is None else add_bias(out, b)
 
 
 def masked_nll(scores: Tensor, mask: np.ndarray, scale: float, inv_tau: float | None = None) -> Tensor:
