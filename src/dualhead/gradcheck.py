@@ -5,6 +5,7 @@ compared coordinate by coordinate against the backward pass. The
 comparison is relative above a small magnitude floor and absolute below
 it (FD noise for a loss of size f is about f * 1e-10 at this eps, so
 near-zero true gradients would otherwise drown in cancellation noise).
+A NaN or infinite gradient makes the error NaN, which fails its case.
 
 Loss cases differentiate through a real model (encoder, classifier,
 projector), so a broken backward rule anywhere in the chain surfaces
@@ -36,10 +37,6 @@ from .ndgrad import Tensor
 EPS = 1e-6
 TOLERANCE = 1e-4
 REL_FLOOR = 1e-2
-
-
-def relative_error(analytic: float, numeric: float, floor: float = REL_FLOOR) -> float:
-    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
 
 
 def analytic_gradients(forward: Callable[[], Tensor], wrt: Sequence[Tensor]) -> list[np.ndarray]:
@@ -74,14 +71,14 @@ def worst_relative_error(
     eps: float = EPS,
     floor: float = REL_FLOOR,
 ) -> float:
-    """Max disagreement between backward and central differences."""
+    """Max disagreement between backward and central differences; NaN if either is not finite."""
     analytic = analytic_gradients(forward, wrt)
     worst = 0.0
     for t, ana in zip(wrt, analytic):
         num = finite_difference(forward, t, eps)
-        for a, n in zip(ana.reshape(-1), num.reshape(-1)):
-            worst = max(worst, relative_error(float(a), float(n), floor))
-    return worst
+        err = np.abs(ana - num) / np.maximum(np.maximum(np.abs(ana), np.abs(num)), floor)
+        worst = np.maximum(worst, err.max())  # np.maximum, unlike max, propagates NaN
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +88,6 @@ def worst_relative_error(
 
 def _head(out: Tensor, weights: np.ndarray) -> Tensor:
     return nd.sum(nd.mul(out, Tensor(weights)))
-
-
-def _case_matmul(rng):
-    a = Tensor(rng.normal(size=(3, 4)), grad_enabled=True)
-    b = Tensor(rng.normal(size=(4, 2)), grad_enabled=True)
-    r = rng.normal(size=(3, 2))
-    return lambda: _head(nd.matmul(a, b), r), [a, b]
 
 
 def _linear_case(rows: bool):
@@ -150,11 +140,18 @@ def _case_sum(rng):
     return lambda: nd.sum(a), [a]
 
 
-def _case_row_dot_slab(rng):
-    a = Tensor(rng.normal(size=(3, 4)), grad_enabled=True)
-    slab = rng.normal(size=(3, 5, 4))  # each row's own constant keys, as in cce and ccl
-    r = rng.normal(size=(3, 5))
-    return lambda: _head(nd.row_dot_slab(a, slab), r), [a]
+def _row_dot_slab_case(live0: bool):
+    """row_dot_slab over a constant slab, as ccl and info_nce run it, or with a live slot 0 as cce does."""
+    b, n, d = (2, 4, 5) if live0 else (3, 5, 4)
+
+    def build(rng):
+        a = Tensor(rng.normal(size=(b, d)), grad_enabled=True)
+        live = Tensor(rng.normal(size=(b, d)), grad_enabled=True) if live0 else None
+        slab = rng.normal(size=(b, n, d))  # each row's own constant keys
+        r = rng.normal(size=(b, n))
+        return lambda: _head(nd.row_dot_slab(a, slab, live), r), [a] if live is None else [a, live]
+
+    return build
 
 
 def _case_select_rows(rng):
@@ -184,7 +181,6 @@ def _masked_nll_case(tau: bool):
 
 
 OP_CASES: dict[str, Callable] = {
-    "matmul": _case_matmul,
     "linear": _linear_case(rows=False),
     "linear_rows": _linear_case(rows=True),
     "add": _case_add,
@@ -192,7 +188,8 @@ OP_CASES: dict[str, Callable] = {
     "scale_by_scalar": _case_scale_by_scalar,
     "relu": _case_relu,
     "sum": _case_sum,
-    "row_dot_slab": _case_row_dot_slab,
+    "row_dot_slab": _row_dot_slab_case(live0=False),
+    "row_dot_slab_live0": _row_dot_slab_case(live0=True),
     "select_rows": _case_select_rows,
     "row_l2_normalize": _case_row_l2_normalize,
     "masked_nll": _masked_nll_case(tau=False),
@@ -314,6 +311,6 @@ def run_gradcheck(instances: int = 20, base_seed: int = 0) -> GradcheckReport:
             for i in range(instances):
                 rng = np.random.default_rng(base_seed + i)
                 forward, wrt = builder(rng)
-                worst = max(worst, worst_relative_error(forward, wrt))
-            results.append(CheckResult(kind=kind, name=name, max_rel_err=worst))
+                worst = np.maximum(worst, worst_relative_error(forward, wrt))
+            results.append(CheckResult(kind=kind, name=name, max_rel_err=float(worst)))
     return GradcheckReport(results=results, instances=instances)

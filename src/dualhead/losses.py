@@ -141,11 +141,11 @@ def cce(
 ) -> Tensor:
     """Classifier-head contrastive loss along the key-bank dimension.
 
-    Prototypes w_{y_i} meet the key slab (slot 0 zeroed) in one (B x (K+1))
-    matrix; the rank-1 term (proto * h) @ E0, E0 being ones in column 0 only,
-    puts the live slot-0 similarity back on the tape. "literal" weights the
-    slot-0 log-ratio by |S_i|, "per_key" takes one per positive slot: the
-    variants differ only in their mask.
+    Prototypes w_{y_i} meet the key slab in one (B x (K+1)) matrix whose
+    column 0 is the live similarity w_{y_i} . h_i, on the tape for both
+    (``row_dot_slab``'s ``live0``). "literal" weights the slot-0 log-ratio
+    by |S_i|, "per_key" takes one per positive slot: the variants differ
+    only in their mask.
     """
     tau = _check_tau(tau)
     if variant not in CCE_VARIANTS:
@@ -153,17 +153,10 @@ def cce(
     b, d = h_q_norm.shape
     labels = _check_labels(labels, W.shape[0])
     _check_keys(keys, labels, b, keys.h_keys, d, "feature")
-    n = keys.size + 1
-    proto = nd.select_rows(W, labels)
-    bank = keys.h_keys.copy()
-    bank[:, 0] = 0.0
-    e0 = np.zeros((d, n))
-    e0[:, 0] = 1.0
-    slot0 = nd.matmul(nd.mul(proto, h_q_norm), Tensor(e0))
-    sims = nd.add(nd.row_dot_slab(proto, bank), slot0)
+    sims = nd.row_dot_slab(nd.select_rows(W, labels), keys.h_keys, live0=h_q_norm)
     positives = keys.positive_mask(labels)
     if variant == "literal":
-        mask = np.zeros((b, n))
+        mask = np.zeros(positives.shape)
         mask[:, 0] = positives.sum(axis=1)
     else:
         mask = positives.astype(float)

@@ -147,20 +147,6 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-
-    return _from_op(a.data @ b.data, "matmul", (a, b), backward)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None, w_rows: bool = False) -> Tensor:
     """x @ w (+ b) as one node; ``w_rows`` takes w as (out x in) rows, giving x @ w.T.
 
@@ -188,7 +174,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, w_rows: bool = False) 
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of same-shape tensors (terms of the joint loss, cce's slot 0)."""
+    """Elementwise sum of same-shape tensors (the terms of the joint loss)."""
     if a.shape != b.shape:
         raise ShapeError(f"add shapes disagree: {a.shape} vs {b.shape}")
 
@@ -200,7 +186,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shape tensors (masking, weighting)."""
+    """Elementwise product of same-shape tensors (gradcheck's scalar head weights an op's output)."""
     if a.shape != b.shape:
         raise ShapeError(f"mul shapes disagree: {a.shape} vs {b.shape}")
 
@@ -257,16 +243,27 @@ def select_rows(a: Tensor, indices) -> Tensor:
     return _from_op(a.data[idx].copy(), "select_rows", (a,), backward)
 
 
-def row_dot_slab(a: Tensor, slab: np.ndarray) -> Tensor:
-    """out[b, n] = a[b] . slab[b, n]: each live row against its own constant (B x N x d) slab."""
+def row_dot_slab(a: Tensor, slab: np.ndarray, live0: Tensor | None = None) -> Tensor:
+    """out[b, n] = a[b] . slab[b, n]: each live row against its own constant (B x N x d) slab.
+
+    A live (B x d) ``live0`` stands in for the slab's slot 0, which is not
+    read: column 0 is a[b] . live0[b], on the tape for both operands.
+    """
     slab = np.asarray(slab, dtype=np.float64)
     if a.data.ndim != 2 or slab.ndim != 3 or slab.shape[0] != a.shape[0] or slab.shape[2] != a.shape[1]:
         raise ShapeError(f"row_dot_slab needs (B x d) rows and a (B x N x d) slab, got {a.shape} and {slab.shape}")
+    if live0 is not None:
+        if live0.shape != a.shape or slab.shape[1] == 0:
+            raise ShapeError(f"row_dot_slab live0 needs the rows' shape {a.shape} and a slot 0, got {live0.shape}")
+        slab = np.concatenate([live0.data[:, None], slab[:, 1:]], axis=1)
 
     def backward(g: np.ndarray) -> None:
         _accumulate(a, np.einsum("bn,bnd->bd", g, slab))
+        if live0 is not None:
+            _accumulate(live0, g[:, :1] * a.data)
 
-    return _from_op(np.einsum("bd,bnd->bn", a.data, slab), "row_dot_slab", (a,), backward)
+    parents = (a,) if live0 is None else (a, live0)
+    return _from_op(np.einsum("bd,bnd->bn", a.data, slab), "row_dot_slab", parents, backward)
 
 
 def row_l2_normalize(a: Tensor) -> Tensor:

@@ -25,7 +25,7 @@ from dualhead.keypool import KeyBatch
 from dualhead.losses import CCE_VARIANTS, REDUCTIONS, _check_labels, _check_tau, ccl, cce, objective
 from dualhead.model import ModelDims
 from dualhead.ndgrad import Tensor
-from unfused import concat_rows, log_softmax_row, transpose
+from unfused import concat_rows, log_softmax_row, matmul, transpose
 
 MATCH_TOL = 1e-12
 
@@ -52,7 +52,7 @@ def loop_cce(h_q_norm, labels, W, keys, tau, variant="literal", reduction="sum")
         if keys.size:
             bank = concat_rows([bank, Tensor(keys.h_keys[i, 1:])])
         proto = nd.select_rows(W, [y])
-        sims = nd.scale_by_scalar(nd.matmul(proto, transpose(bank)), 1.0 / tau)
+        sims = nd.scale_by_scalar(matmul(proto, transpose(bank)), 1.0 / tau)
         logp = log_softmax_row(sims)
         positives = keys.labels[i] == y
         if variant == "literal":
@@ -75,7 +75,7 @@ def loop_ccl(z_q, labels, keys, tau, reduction="sum"):
         y = int(labels[i])
         assert int(keys.labels[i, 0]) == y
         q = nd.select_rows(z_q, [i])
-        sims = nd.scale_by_scalar(nd.matmul(q, transpose(Tensor(keys.z_keys[i]))), 1.0 / tau)
+        sims = nd.scale_by_scalar(matmul(q, transpose(Tensor(keys.z_keys[i]))), 1.0 / tau)
         logp = log_softmax_row(sims)
         mask = (keys.labels[i] == y)[None, :].astype(float)
         term = nd.scale_by_scalar(nd.sum(nd.mul(logp, Tensor(mask))), -1.0)
@@ -190,8 +190,13 @@ def test_folded_reduction_is_bitwise_the_two_scale_chain(term, reduction, monkey
             np.testing.assert_array_equal(got_grads[name], g, err_msg=f"seed {seed}, {name}")
 
 
-# The node that computes each term's raw scores: the logits, or the similarity matrix.
-SCORES_OP = {"ce": "linear", "cce_literal": "add", "cce_per_key": "add", "ccl": "row_dot_slab"}
+# The node that computes each term's raw scores (the logits, or the similarity matrix), and that node's parents.
+SCORES_OP = {
+    "ce": ("linear", ["linear", "leaf"]),
+    "cce_literal": ("row_dot_slab", ["select_rows", "row_l2_normalize"]),
+    "cce_per_key": ("row_dot_slab", ["select_rows", "row_l2_normalize"]),
+    "ccl": ("row_dot_slab", ["row_l2_normalize"]),
+}
 
 
 @pytest.mark.parametrize("reduction", REDUCTIONS)
@@ -203,7 +208,8 @@ def test_each_term_ends_in_one_scale_after_its_sum(term, reduction):
     h, z, logits = model_mod.forward_query(params, x)
     out = objective(h, z, logits, y, params.classifier_W, keys, cfg).total
     assert out._op == "masked_nll"
-    assert [p._op for p in out._parents] == [SCORES_OP[term]]
+    (scores,) = out._parents
+    assert (scores._op, [p._op for p in scores._parents]) == SCORES_OP[term]
 
 
 class TestKeyChecks:

@@ -1,11 +1,15 @@
 """Config parsing contracts and the command-line surface end to end."""
 
 import json
+import math
+import re
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import dualhead.gradcheck as gradcheck_mod
 import dualhead.ndgrad as nd
 from dualhead.cli import main
 from dualhead.gradcheck import run_gradcheck
@@ -564,6 +568,31 @@ class TestGradcheckCommand:
         monkeypatch.setattr(nd, "relu", broken_relu)
         assert main(["gradcheck", "--instances", "1"]) == 2
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_backward_rule_fails_its_case(self, capsys, monkeypatch, bad):
+        # Python's max(worst, nan) keeps worst: a NaN error must not read as a pass.
+        real_relu = nd.relu
+
+        def broken_relu(a):
+            out = real_relu(a)
+            if out._backward is not None:
+                out._backward = lambda g: nd._accumulate(a, np.full_like(g, bad))
+            return out
+
+        monkeypatch.setattr(nd, "relu", broken_relu)
+        assert main(["gradcheck", "--instances", "2"]) == 2
+        out = capsys.readouterr().out
+        assert re.search(r"^op +relu +max rel err nan +FAIL$", out, re.M), out
+        assert re.search(r"^loss +ce +max rel err nan +FAIL$", out, re.M), out
+
+    @pytest.mark.parametrize("errors", [(float("nan"), 1e-9), (1e-9, float("nan"))])
+    def test_a_nan_instance_fails_its_case(self, monkeypatch, errors):
+        per_call = iter(errors * (len(gradcheck_mod.OP_CASES) + len(gradcheck_mod.LOSS_CASES)))
+        monkeypatch.setattr(gradcheck_mod, "worst_relative_error", lambda forward, wrt: next(per_call))
+        report = run_gradcheck(instances=2)
+        assert all(math.isnan(r.max_rel_err) and not r.passed for r in report.results)
+        assert not report.passed
 
 
 class TestAblateCommand:

@@ -13,7 +13,8 @@ from dualhead.ndgrad import (
     ShapeError,
     Tensor,
 )
-from unfused import add_bias, concat_rows
+import unfused
+from unfused import add_bias, concat_rows, matmul
 
 
 class TestTensorBasics:
@@ -41,23 +42,25 @@ class TestTensorBasics:
 
 
 class TestMatmul:
+    """``unfused.matmul``, the product the oracle chains build on."""
+
     def test_identity(self):
         eye = Tensor([[1.0, 0.0], [0.0, 1.0]])
         v = Tensor([[3.0], [4.0]])
-        np.testing.assert_array_equal(nd.matmul(eye, v).data, [[3.0], [4.0]])
+        np.testing.assert_array_equal(matmul(eye, v).data, [[3.0], [4.0]])
 
     def test_annihilation(self):
-        np.testing.assert_array_equal(nd.matmul(Tensor([[2.0]]), Tensor([[0.0]])).data, [[0.0]])
+        np.testing.assert_array_equal(matmul(Tensor([[2.0]]), Tensor([[0.0]])).data, [[0.0]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            nd.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+            matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         a = Tensor(rng.normal(size=(3, 4)), grad_enabled=True)
         b = Tensor(rng.normal(size=(4, 2)), grad_enabled=True)
-        err = worst_relative_error(lambda: nd.sum(nd.matmul(a, b)), [a, b], floor=1e-3)
+        err = worst_relative_error(lambda: nd.sum(matmul(a, b)), [a, b], floor=1e-3)
         assert err < 1e-6
 
 
@@ -169,11 +172,53 @@ class TestRowDotSlab:
         with pytest.raises(ShapeError):
             nd.row_dot_slab(Tensor(np.ones(a_shape)), np.ones(slab_shape))
 
+    def test_live0_is_column_0(self):
+        a = Tensor([[1.0, 2.0], [3.0, -1.0]])
+        live0 = Tensor([[2.0, 1.0], [0.5, 4.0]])
+        slab = np.array([[[9.0, 9.0], [0.0, 1.0]], [[np.nan, np.inf], [1.0, 1.0]]])  # slot 0 is never read
+        out = nd.row_dot_slab(a, slab, live0=live0)
+        np.testing.assert_array_equal(out.data, [[4.0, 2.0], [-2.5, 2.0]])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_live0_gradient_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        b, n, d = (int(v) for v in rng.integers(1, 6, size=3))
+        a = Tensor(rng.normal(size=(b, d)), grad_enabled=True)
+        live0 = Tensor(rng.normal(size=(b, d)), grad_enabled=True)
+        slab = rng.normal(size=(b, n, d))
+        head = Tensor(rng.normal(size=(b, n)))
+        err = worst_relative_error(lambda: nd.sum(nd.mul(nd.row_dot_slab(a, slab, live0), head)), [a, live0])
+        assert err <= 1e-4
+
+    @pytest.mark.parametrize("live0_shape, slots", [((2, 2), 4), ((3, 3), 4), ((2, 3, 1), 4), ((6,), 4), ((2, 3), 0)])
+    def test_mismatched_live0_rejected(self, live0_shape, slots):
+        with pytest.raises(ShapeError):
+            nd.row_dot_slab(Tensor(np.ones((2, 3))), np.ones((2, slots, 3)), live0=Tensor(np.ones(live0_shape)))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_live0_matches_the_zeroed_slab_and_e0_chain(self, seed):
+        # The chain cce built before: it rounds differently (column 0 through a matmul), so to 1e-12, not bitwise.
+        rng = np.random.default_rng(seed)
+        b, n, d = (int(v) for v in rng.integers(1, 9, size=3))
+        a = Tensor(rng.normal(size=(b, d)), grad_enabled=True)
+        live0 = Tensor(rng.normal(size=(b, d)), grad_enabled=True)
+        slab = rng.normal(size=(b, n, d))
+        head = Tensor(rng.normal(size=(b, n)))
+        results = []
+        for op in (nd.row_dot_slab, unfused.row_dot_slab):
+            out = op(a, slab, live0)
+            nd.sum(nd.mul(out, head)).backward()
+            results.append((out.data, a.grad, live0.grad))
+            a.zero_grad()
+            live0.zero_grad()
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
     def test_gradcheck_checks_it_in_place_of_mean(self):
         # One op case per op form the model and losses run; the ops they replaced, and the forms none runs, are gone.
         assert "row_dot_slab" in OP_CASES and "mean" not in OP_CASES
-        assert {"linear", "linear_rows", "masked_nll", "masked_nll_tau"} <= set(OP_CASES)
-        for gone in ("mean", "transpose", "log_softmax_row", "concat_rows"):
+        assert {"linear", "linear_rows", "masked_nll", "masked_nll_tau", "row_dot_slab_live0"} <= set(OP_CASES)
+        for gone in ("mean", "transpose", "log_softmax_row", "concat_rows", "matmul"):
             assert gone not in OP_CASES and not hasattr(nd, gone)
         assert "add_bias" not in OP_CASES
         assert len(OP_CASES) + len(LOSS_CASES) == 19
@@ -265,7 +310,7 @@ class TestTapeSemantics:
         head = Tensor(rng.normal(size=(2, 4)))
 
         def forward():
-            h = nd.relu(add_bias(nd.matmul(a, b), bias))
+            h = nd.relu(add_bias(matmul(a, b), bias))
             return nd.masked_nll(nd.add(h, nd.linear(a, b, bias)), head.data, 1.0)
 
         assert worst_relative_error(forward, [a, b, bias]) <= 1e-4

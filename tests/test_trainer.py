@@ -220,7 +220,9 @@ class TestStep:
         "over, most",
         [
             (dict(losses__cce=0.0, losses__ccl=0.0), 6),  # linear, relu, linear, logits linear, masked_nll
-            (dict(keys__generator="membank"), 20),
+            # linear, relu, linear, logits and projector linear, z's row_l2_normalize; masked_nll (ce); h's
+            # row_l2_normalize, select_rows, row_dot_slab, masked_nll (cce); row_dot_slab, masked_nll (ccl); add, add
+            (dict(keys__generator="membank"), 15),
         ],
     )
     def test_tape_nodes_per_step(self, monkeypatch, over, most):
