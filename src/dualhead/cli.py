@@ -2,8 +2,10 @@
 
 Every command is deterministic given (config, seed); result CSVs are
 written by a single writer in a fixed order so repeat runs are
-byte-identical. Exit codes: 0 success, 1 validation error, 2 numerical
-failure, 3 I/O error.
+byte-identical. ``ablate`` and ``sweep`` run their fits one after another
+on the calling thread; ``--jobs`` must be at least 1 and selects no code
+path. Exit codes: 0 success, 1 validation error, 2 numerical failure,
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import copy
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,11 @@ ABLATION_COMBOS: tuple[tuple[float, float, float], ...] = (
     (1.0, 0.0, 1.0),
     (0.0, 1.0, 1.0),
     (1.0, 1.0, 1.0),
+)
+
+JOBS_HELP = (
+    "kept so existing command lines still run; must be >= 1 and selects no code path:"
+    " fits run in order on one thread, since each holds the GIL"
 )
 
 # Sweep axis -> its config section; values parse as ``--set section.axis=value`` does.
@@ -113,15 +119,22 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if report.passed else EXIT_NUMERICAL
 
 
-def _fit_many(configs: list[RunConfig], jobs: int) -> list[trainer_mod.TrainRun]:
-    """Run independent fits, preserving input order in the results."""
-    if jobs <= 1:
-        return [trainer_mod.fit(cfg) for cfg in configs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(trainer_mod.fit, configs))
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+
+
+def _fit_many(configs: list[RunConfig]) -> list[trainer_mod.TrainRun]:
+    """Run the fits in input order on the calling thread.
+
+    A fit holds the GIL nearly throughout, so fits on threads only wait on
+    each other.
+    """
+    return [trainer_mod.fit(cfg) for cfg in configs]
 
 
 def cmd_ablate(args) -> int:
+    _check_jobs(args.jobs)
     base = _effective_config(args)
     out_dir = _run_dir(base, f"runs/ablate-{config_hash(base)[:8]}")
     rates = args.rates
@@ -136,7 +149,7 @@ def cmd_ablate(args) -> int:
                 cfg.seed = seed
                 configs.append(validate_config(cfg))
     started = time.perf_counter()
-    runs = _fit_many(configs, args.jobs)
+    runs = _fit_many(configs)
     accs = np.array([r.final_val_acc for r in runs]).reshape(len(ABLATION_COMBOS), len(rates), len(seeds))
     header = ["ce", "cce", "ccl"]
     for rate in rates:
@@ -156,6 +169,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_jobs(args.jobs)
     base = _effective_config(args)
     if args.axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {args.axis!r}; choose from {sorted(SWEEP_AXES)}")
@@ -169,7 +183,7 @@ def cmd_sweep(args) -> int:
             cfg.seed = seed
             rows.append((getattr(getattr(cfg, section), args.axis), seed, validate_config(cfg)))
     rows.sort(key=lambda row: row[0])  # stable: seeds keep their order within a value
-    runs = _fit_many([cfg for _, _, cfg in rows], args.jobs)
+    runs = _fit_many([cfg for _, _, cfg in rows])
     lines = ["axis,value,seed,final_val_acc,best_val_acc"]
     for (value, seed, _), run in zip(rows, runs):
         lines.append(f"{args.axis},{value},{seed},{_fmt(run.final_val_acc)},{_fmt(run.best_val_acc)}")
@@ -208,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_ablate)
     p_ablate.add_argument("--rates", type=float, nargs="+", default=[0.25, 0.5, 0.75, 1.0])
     p_ablate.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
-    p_ablate.add_argument("--jobs", type=int, default=1)
+    p_ablate.add_argument("--jobs", type=int, default=1, metavar="N", help=JOBS_HELP)
     p_ablate.set_defaults(func=cmd_ablate)
 
     p_sweep = sub.add_parser("sweep", help="sensitivity sweep over one hyperparameter axis")
@@ -216,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis", required=True, choices=sorted(SWEEP_AXES))
     p_sweep.add_argument("--values", nargs="+", required=True)
     p_sweep.add_argument("--seeds", type=int, nargs="+", default=[0])
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=1, metavar="N", help=JOBS_HELP)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import threading
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -11,7 +12,8 @@ import pytest
 
 import dualhead.gradcheck as gradcheck_mod
 import dualhead.ndgrad as nd
-from dualhead.cli import main
+import dualhead.trainer as trainer_mod
+from dualhead.cli import ABLATION_COMBOS, main
 from dualhead.gradcheck import run_gradcheck
 from dualhead.config import (
     ConfigError,
@@ -676,3 +678,49 @@ class TestSweepCommand:
     def test_unparseable_value_rejected(self, tmp_path):
         code = main(["sweep", "--axis", "tau", "--values", "abc", *FAST_TRAIN])
         assert code == 1
+
+
+class TestFitMany:
+    """``ablate`` and ``sweep`` run their fits on the calling thread, in input order."""
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        calls = []
+        real_fit = trainer_mod.fit
+
+        def spy(cfg):
+            calls.append((threading.get_ident(), cfg))
+            return real_fit(cfg)
+
+        monkeypatch.setattr(trainer_mod, "fit", spy)
+        return calls
+
+    def test_ablate_fits_in_order_on_calling_thread(self, tmp_path, fits):
+        code = main([
+            "ablate", "--out", str(tmp_path / "ab"), "--rates", "0.5", "0.25", "--seeds", "1", "0",
+            "--jobs", "2", *FAST_TRAIN, "--set", "optimizer.iterations=3",
+        ])
+        assert code == 0
+        assert [ident for ident, _ in fits] == [threading.get_ident()] * 20
+        got = [(cfg.losses.weights(), cfg.dataset.sampling_rate, cfg.seed) for _, cfg in fits]
+        assert got == [(combo, rate, seed) for combo in ABLATION_COMBOS for rate in (0.5, 0.25) for seed in (1, 0)]
+
+    def test_sweep_fits_in_order_on_calling_thread(self, tmp_path, fits):
+        code = main([
+            "sweep", "--out", str(tmp_path / "sw"), "--axis", "tau", "--values", "0.2", "0.07",
+            "--seeds", "1", "0", "--jobs", "4", *FAST_TRAIN, "--set", "optimizer.iterations=3",
+        ])
+        assert code == 0
+        assert [ident for ident, _ in fits] == [threading.get_ident()] * 4
+        assert [(cfg.losses.tau, cfg.seed) for _, cfg in fits] == [(0.07, 1), (0.07, 0), (0.2, 1), (0.2, 0)]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command", [
+        ["ablate", "--rates", "0.5", "--seeds", "0"],
+        ["sweep", "--axis", "tau", "--values", "0.2"],
+    ])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, fits, command, jobs):
+        code = main([*command, "--out", str(tmp_path / "o"), "--jobs", jobs, *FAST_TRAIN])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert fits == []
