@@ -102,8 +102,7 @@ def cmd_eval(args) -> int:
     cfg = _effective_config(args)
     params = model_mod.load_checkpoint(args.checkpoint)
     if args.split == "all":
-        ss = np.random.SeedSequence(cfg.seed)
-        ds = trainer_mod.build_dataset(cfg, ss.spawn(6)[0])
+        ds = trainer_mod.build_dataset(cfg, trainer_mod.run_streams(cfg)["data"])
     else:
         train, val = trainer_mod.prepare_data(cfg)
         ds = train if args.split == "train" else val

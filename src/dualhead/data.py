@@ -2,7 +2,7 @@
 stratified splits, and per-class sampling-rate subsetting.
 
 Everything is deterministic under its seed, and every produced dataset is
-finite, densely labeled 0..C-1, and carries example ids 0..N-1.
+finite and densely labeled 0..C-1. An example's id is its row number.
 """
 
 from __future__ import annotations
@@ -40,18 +40,16 @@ class Dataset:
 
     features: np.ndarray  # (N x in), float64
     labels: np.ndarray  # (N,), int64 in [0, class_count)
-    example_ids: np.ndarray  # (N,), 0..N-1
     class_count: int
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.example_ids = np.asarray(self.example_ids, dtype=np.int64)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise DataError(f"features must be a nonempty 2-D array, got shape {self.features.shape}")
         n = self.features.shape[0]
-        if self.labels.shape != (n,) or self.example_ids.shape != (n,):
-            raise DataError("labels and example_ids must have one entry per feature row")
+        if self.labels.shape != (n,):
+            raise DataError("labels must have one entry per feature row")
         if not np.all(np.isfinite(self.features)):
             raise DataError("features contain non-finite values")
         if self.labels.min() < 0 or self.labels.max() >= self.class_count:
@@ -65,14 +63,9 @@ class Dataset:
         return int(self.features.shape[1])
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        """Subset by row indices, re-densifying example ids."""
+        """Subset by row indices."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            features=self.features[idx].copy(),
-            labels=self.labels[idx].copy(),
-            example_ids=np.arange(idx.shape[0], dtype=np.int64),
-            class_count=self.class_count,
-        )
+        return Dataset(self.features[idx].copy(), self.labels[idx].copy(), self.class_count)
 
 
 def _simplex_means(class_count: int, dim: int, separation: float) -> np.ndarray:
@@ -113,7 +106,7 @@ def make_blobs(
         for c in range(class_count)
     ])
     labels = np.repeat(np.arange(class_count, dtype=np.int64), per_class)
-    return Dataset(features, labels, np.arange(len(labels)), class_count)
+    return Dataset(features, labels, class_count)
 
 
 def make_rings(class_count: int, per_class: int, noise: float, seed: int) -> Dataset:
@@ -132,7 +125,7 @@ def make_rings(class_count: int, per_class: int, noise: float, seed: int) -> Dat
         rows.append(np.column_stack([radius * np.cos(theta), radius * np.sin(theta)]))
     features = np.vstack(rows)
     labels = np.repeat(np.arange(class_count, dtype=np.int64), per_class)
-    return Dataset(features, labels, np.arange(len(labels)), class_count)
+    return Dataset(features, labels, class_count)
 
 
 def load_delimited(
@@ -182,7 +175,7 @@ def load_delimited(
         if lab not in remap:
             remap[lab] = len(remap)
     labels = np.array([remap[lab] for lab in raw_labels], dtype=np.int64)
-    return Dataset(np.array(features, dtype=np.float64), labels, np.arange(len(labels)), len(remap))
+    return Dataset(np.array(features, dtype=np.float64), labels, len(remap))
 
 
 def subsample_per_class(ds: Dataset, rate: float, seed: int) -> Dataset:

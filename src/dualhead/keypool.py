@@ -1,12 +1,14 @@
 """Key dictionaries for the contrastive losses.
 
-Two interchangeable generators sit behind one sampling contract:
+Two interchangeable generators sit behind one sampling contract, each
+holding its keys as per-class segments of one row store:
 
-* ``MocoQueues``: one ring buffer per class (``C x Q x d`` and ``C x Q x L``
-  arrays plus fill and head counters), filled with detached keys from the
-  momentum twin, oldest entries evicted at capacity;
+* ``MocoQueues``: a ``C x Q x d`` and a ``C x Q x L`` array of detached
+  twin keys, class c's ``fill[c]`` keys in the last slots of its block,
+  oldest first, the oldest evicted at capacity;
 * ``MemoryBank``: one momentum-mixed snapshot per training example,
-  re-normalized to the unit sphere after every update.
+  re-normalized to the unit sphere after every update; its example ids,
+  stably sorted by class, are the segments.
 
 ``sample`` takes the batch's own query keys and returns one ``KeyBatch``
 for the whole batch, whose slot 0 is each query's own key, so every
@@ -15,8 +17,9 @@ Draws are uniform with replacement (early buffers can hold fewer entries
 than requested), balanced per class, and fully determined by the
 caller's generator: the keys drawn, and the generator's state after, are
 exactly those of one ``rng.integers(0, n_c, size=k)`` call per (query,
-non-empty class c), queries in batch order and classes ascending. Unit
-norm is checked once per enqueued, installed, mixed-in or gathered block.
+non-empty class c), queries in batch order and classes ascending, each
+pick shifted by its class's segment start. Unit norm is checked once per
+enqueued, installed, mixed-in or gathered block.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ndgrad import NORM_EPS, DegenerateRowError
+
 UNIT_TOL = 1e-9
 
 
@@ -32,9 +37,9 @@ class EmptyPoolError(RuntimeError):
     """Sampling was attempted before any key was available."""
 
 
-def _unit_rows(a: np.ndarray) -> np.ndarray:
-    """Each row scaled by its Euclidean norm: np.linalg.norm's own sum, without its Python wrapper."""
-    return a / np.sqrt(np.add.reduce(a * a, axis=1, keepdims=True))
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """(n x 1) Euclidean row norms: np.linalg.norm's own sum, without its Python wrapper."""
+    return np.sqrt(np.add.reduce(a * a, axis=1, keepdims=True))
 
 
 def _check_unit(**blocks: np.ndarray) -> None:
@@ -57,6 +62,12 @@ def _draw(rng: np.random.Generator, queries: int, sizes: np.ndarray | list[int],
     """(queries x classes x per_class) positions in [0, sizes[j]): the module's stream, in one broadcast call."""
     sizes = np.asarray(sizes, dtype=np.int64)
     return rng.integers(0, np.broadcast_to(sizes[None, :, None], (queries, sizes.shape[0], per_class)))
+
+
+def _segment_rows(rng: np.random.Generator, queries: int, starts, sizes, per_class: int) -> np.ndarray:
+    """(queries x classes*per_class) store rows: _draw's picks shifted by each segment's start."""
+    picks = _draw(rng, queries, sizes, per_class)
+    return (np.asarray(starts, dtype=np.int64)[None, :, None] + picks).reshape(queries, -1)
 
 
 @dataclass
@@ -107,7 +118,7 @@ def _with_queries(queries, h: np.ndarray, z: np.ndarray, labels: np.ndarray) -> 
 
 
 class MocoQueues:
-    """Per-class ring buffers of detached keys, each capped at queue_size."""
+    """Per-class FIFO blocks of detached keys, each capped at queue_size; class c's segment is the last fill[c] slots."""
 
     def __init__(self, class_count: int, queue_size: int):
         if class_count < 1 or queue_size < 1:
@@ -117,14 +128,13 @@ class MocoQueues:
         self._h: np.ndarray | None = None  # (C x Q x d), allocated by the first enqueue
         self._z: np.ndarray | None = None  # (C x Q x L)
         self._fill = np.zeros(self.class_count, dtype=np.int64)
-        self._head = np.zeros(self.class_count, dtype=np.int64)  # ring slot of each class's oldest key
 
     def __len__(self) -> int:
         return int(self._fill.sum())
 
     def entries(self, label: int) -> list[KeyEntry]:
         """Copies of one class's keys, oldest first."""
-        slots = (self._head[label] + np.arange(self._fill[label])) % self.queue_size
+        slots = range(self.queue_size - int(self._fill[label]), self.queue_size)
         return [KeyEntry(self._h[label, s].copy(), self._z[label, s].copy(), label) for s in slots]
 
     def enqueue(self, h: np.ndarray, z: np.ndarray, labels: np.ndarray) -> None:
@@ -141,14 +151,10 @@ class MocoQueues:
             raise ValueError(f"key dims {h.shape[1]}/{z.shape[1]} != queue dims {self._h.shape[2]}/{self._z.shape[2]}")
         q = self.queue_size
         for c in np.unique(labels).tolist():
-            rows = np.flatnonzero(labels == c)
-            total = int(self._fill[c]) + rows.size
-            keep = rows[-q:]  # earlier rows would be evicted within this call
-            slots = (self._head[c] + total - keep.size + np.arange(keep.size)) % q
-            self._h[c, slots] = h[keep]
-            self._z[c, slots] = z[keep]
-            self._head[c] = (self._head[c] + max(0, total - q)) % q
-            self._fill[c] = min(total, q)
+            keep = np.flatnonzero(labels == c)[-q:]  # earlier rows would be evicted within this call
+            for store, new in ((self._h, h), (self._z, z)):
+                store[c] = np.concatenate([store[c], new[keep]])[-q:]  # the oldest move toward slot 0 and drop out
+            self._fill[c] = min(int(self._fill[c]) + keep.size, q)
 
     def sample(self, keys_per_class: int, h_query, z_query, labels, rng: np.random.Generator) -> KeyBatch:
         """Draw keys_per_class keys from every non-empty class for each query."""
@@ -156,12 +162,11 @@ class MocoQueues:
             raise ValueError("keys_per_class must be >= 1")
         if len(self) == 0:
             raise EmptyPoolError("all class buffers are empty; warm the pool up first")
-        classes = np.flatnonzero(self._fill)
-        picks = _draw(rng, len(labels), self._fill[classes], keys_per_class)
-        b = picks.shape[0]
-        cls = np.broadcast_to(classes[None, :, None], picks.shape).reshape(b, -1)
-        slots = ((self._head[classes][None, :, None] + picks) % self.queue_size).reshape(b, -1)
-        return _with_queries((h_query, z_query, labels), self._h[cls, slots], self._z[cls, slots], cls)
+        q, classes = self.queue_size, np.flatnonzero(self._fill)
+        fill = self._fill[classes]
+        rows = _segment_rows(rng, len(labels), classes * q + q - fill, fill, keys_per_class)
+        h, z = (a.reshape(-1, a.shape[2])[rows] for a in (self._h, self._z))
+        return _with_queries((h_query, z_query, labels), h, z, rows // q)
 
 
 class MemoryBank:
@@ -176,7 +181,8 @@ class MemoryBank:
         self.m_bank = float(m_bank)
         self.h_snap: np.ndarray | None = None
         self.z_snap: np.ndarray | None = None
-        self._members = [np.flatnonzero(self.labels == c) for c in np.unique(self.labels)]  # classes ascending
+        self._by_class = np.argsort(self.labels, kind="stable")  # present class j: _sizes[j] ids from _starts[j]
+        _, self._starts, self._sizes = np.unique(self.labels[self._by_class], return_index=True, return_counts=True)
 
     def __len__(self) -> int:
         return 0 if self.h_snap is None else int(self.labels.shape[0])
@@ -198,7 +204,7 @@ class MemoryBank:
         h, z = (np.asarray(a, dtype=np.float64) for a in (h, z))
         if h.shape[0] != self.labels.shape[0] or z.shape[0] != self.labels.shape[0]:
             raise ValueError("snapshot row count must equal the number of examples")
-        h, z = _unit_rows(h), _unit_rows(z)
+        h, z = h / _row_norms(h), z / _row_norms(z)
         _check_unit(h_snapshot=h, z_snapshot=z)
         self.h_snap, self.z_snap = h, z
 
@@ -214,7 +220,12 @@ class MemoryBank:
         _check_unit(h_new=h_new, z_new=z_new)
         m = self.m_bank
         h, z = m * self.h_snap[idx] + (1.0 - m) * h_new, m * self.z_snap[idx] + (1.0 - m) * z_new
-        h, z = _unit_rows(h), _unit_rows(z)  # a zero row turns NaN here
+        h_norms, z_norms = _row_norms(h), _row_norms(z)
+        for name, norms in (("h_snapshot", h_norms), ("z_snapshot", z_norms)):
+            if norms.min() < NORM_EPS:  # mixed to (near) zero: the rule of ndgrad.row_l2_normalize, checked before dividing
+                row = int(norms.argmin())
+                raise DegenerateRowError(f"{name} of example {idx[row]} has norm {norms[row, 0]:.3e} < {NORM_EPS}")
+        h, z = h / h_norms, z / z_norms
         _check_unit(h_snapshot=h, z_snapshot=z)
         self.h_snap[idx], self.z_snap[idx] = h, z
 
@@ -225,17 +236,14 @@ class MemoryBank:
 
         ``uniform=True`` switches from balanced per-class draws to global
         uniform draws over all snapshots, the stream of one call per query
-        (same batch size either way).
+        (same batch size either way): all ids form one segment.
         """
         if count_per_class < 1:
             raise ValueError("count_per_class must be >= 1")
         if not self.initialized:
             raise EmptyPoolError("memory bank has no snapshots; warm it up first")
-        members = self._members
         if uniform:
-            picks = _draw(rng, len(labels), [self.labels.shape[0]], count_per_class * len(members))
-            idx = picks[:, 0]
+            idx = _segment_rows(rng, len(labels), [0], [self.labels.shape[0]], count_per_class * self._sizes.shape[0])
         else:
-            picks = _draw(rng, len(labels), [m.shape[0] for m in members], count_per_class)
-            idx = np.stack([m[picks[:, j]] for j, m in enumerate(members)], axis=1).reshape(picks.shape[0], -1)
+            idx = self._by_class[_segment_rows(rng, len(labels), self._starts, self._sizes, count_per_class)]
         return _with_queries((h_query, z_query, labels), self.h_snap[idx], self.z_snap[idx], self.labels[idx])

@@ -24,9 +24,9 @@ snapshots in the warm-up, which always runs before step 1; afterwards
 keys live in the bank and stage 6 mixes in the *live* (detached) query
 features.
 
-Determinism: a run's randomness comes from named substreams spawned from
-the run seed (dataset, split, subsample, init, batching, sampling), so
-identical config + seed reproduces the metric log bit for bit.
+Determinism: a run's randomness comes from the named substreams of the
+run seed in ``run_streams``, so identical config + seed reproduces the
+metric log bit for bit.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def step(
     cfg: RunConfig,
     rng: np.random.Generator,
 ) -> losses_mod.LossTerms:
-    """One optimization step over (features, labels, example_ids)."""
+    """One optimization step over (features, labels, training row numbers)."""
     x_np, y, ids = batch
     _, w_cce, w_ccl = cfg.losses.weights()
     contrastive = w_cce != 0.0 or w_ccl != 0.0
@@ -184,21 +184,17 @@ def step(
 
 
 def warmup(twin: MomentumTwin, pool: MocoQueues | MemoryBank, ds: data_mod.Dataset) -> None:
-    """Fill the key pool with one gradient-free pass through the twin.
+    """Fill the key pool with one gradient-free pass of every row through the twin, 256 rows a forward.
 
-    Queue mode forwards the newest queue_size examples of each class (in
-    dataset order), so every present class starts with a full buffer.
-    Bank mode snapshots every example, 256 rows a forward.
+    A bank installs the keys as its snapshots; queues enqueue them in
+    dataset order, which leaves each class its newest queue_size keys.
     """
-    if len(ds) == 0:
-        raise data_mod.DataError("cannot warm up from an empty dataset")
-    if isinstance(pool, MocoQueues):
-        newest = [np.flatnonzero(ds.labels == c)[-pool.queue_size:] for c in range(ds.class_count)]
-        order = np.sort(np.concatenate(newest))
-        pool.enqueue(*model_mod.forward_key(twin, Tensor(ds.features[order])), ds.labels[order])
-        return
     parts = [model_mod.forward_key(twin, Tensor(ds.features[lo:lo + 256])) for lo in range(0, len(ds), 256)]
-    pool.initialize(np.vstack([h for h, _ in parts]), np.vstack([z for _, z in parts]))
+    h, z = np.vstack([h for h, _ in parts]), np.vstack([z for _, z in parts])
+    if isinstance(pool, MocoQueues):
+        pool.enqueue(h, z, ds.labels)
+    else:
+        pool.initialize(h, z)
 
 
 def evaluate(params: ModelParams, ds: data_mod.Dataset) -> float:
@@ -209,6 +205,12 @@ def evaluate(params: ModelParams, ds: data_mod.Dataset) -> float:
     _, _, logits = model_mod.forward_query(params, Tensor(ds.features), project=False)
     pred = np.argmax(logits.data, axis=1)
     return float(np.mean(pred == ds.labels))
+
+
+def run_streams(cfg: RunConfig) -> dict[str, np.random.SeedSequence]:
+    """The run's six substreams by name, spawned from the run seed in this fixed order."""
+    names = ("data", "split", "subsample", "init", "batch", "sample")
+    return dict(zip(names, np.random.SeedSequence(cfg.seed).spawn(len(names))))
 
 
 def build_dataset(cfg: RunConfig, seed_seq: np.random.SeedSequence) -> data_mod.Dataset:
@@ -234,12 +236,11 @@ def prepare_data(cfg: RunConfig) -> tuple[data_mod.Dataset, data_mod.Dataset]:
     Shared by training and standalone evaluation so both see the same
     split for the same config.
     """
-    ss = np.random.SeedSequence(cfg.seed)
-    s_data, s_split, s_sub, _, _, _ = ss.spawn(6)
-    full = build_dataset(cfg, s_data)
-    train, val = data_mod.split_stratified(full, cfg.dataset.train_fraction, s_split)
+    streams = run_streams(cfg)
+    full = build_dataset(cfg, streams["data"])
+    train, val = data_mod.split_stratified(full, cfg.dataset.train_fraction, streams["split"])
     if cfg.dataset.sampling_rate != 1.0:
-        train = data_mod.subsample_per_class(train, cfg.dataset.sampling_rate, s_sub)
+        train = data_mod.subsample_per_class(train, cfg.dataset.sampling_rate, streams["subsample"])
     return train, val
 
 
@@ -265,8 +266,7 @@ class _Batcher:
 def fit(cfg: RunConfig) -> TrainRun:
     """Warm up, train for cfg.optimizer.iterations steps, log, evaluate."""
     started = time.perf_counter()
-    ss = np.random.SeedSequence(cfg.seed)
-    _, _, _, s_init, s_batch, s_sample = ss.spawn(6)
+    streams = run_streams(cfg)
     train, val = prepare_data(cfg)
 
     dims = ModelDims(
@@ -276,7 +276,7 @@ def fit(cfg: RunConfig) -> TrainRun:
         class_count=train.class_count,
         projector_dim=cfg.model.projector_dim,
     )
-    params = model_mod.init_params(dims, np.random.default_rng(s_init), classifier_bias=cfg.model.classifier_bias)
+    params = model_mod.init_params(dims, np.random.default_rng(streams["init"]), classifier_bias=cfg.model.classifier_bias)
     twin = model_mod.init_twin(params, cfg.keys.momentum)
     if cfg.keys.generator == "membank":
         pool: MocoQueues | MemoryBank = MemoryBank(train.labels, m_bank=cfg.keys.bank_momentum)
@@ -289,8 +289,8 @@ def fit(cfg: RunConfig) -> TrainRun:
         warmup(twin, pool, train)  # the bank twin never moves, so a deferred bank warm-up is this one
 
     opt = init_optimizer(params, cfg)
-    batcher = _Batcher(len(train), cfg.optimizer.batch_size, np.random.default_rng(s_batch))
-    sample_rng = np.random.default_rng(s_sample)
+    batcher = _Batcher(len(train), cfg.optimizer.batch_size, np.random.default_rng(streams["batch"]))
+    sample_rng = np.random.default_rng(streams["sample"])
 
     log: list[MetricRow] = [MetricRow(iteration=0, val_acc=evaluate(params, val))]
     best = log[0].val_acc
@@ -298,7 +298,7 @@ def fit(cfg: RunConfig) -> TrainRun:
     for it in range(1, iterations + 1):
         advance_schedule(opt, it)
         idx = batcher.next()
-        batch = (train.features[idx], train.labels[idx], train.example_ids[idx])
+        batch = (train.features[idx], train.labels[idx], idx)
         terms = step(params, twin, pool, batch, opt, cfg, sample_rng)
 
         due_log = it % cfg.log_every == 0
@@ -311,13 +311,12 @@ def fit(cfg: RunConfig) -> TrainRun:
                 best = max(best, row.val_acc)
             log.append(row)
 
-    final = log[-1].val_acc if log[-1].val_acc is not None else evaluate(params, val)
     return TrainRun(
         config=cfg,
         seed=cfg.seed,
         iterations=iterations,
         metric_log=log,
-        final_val_acc=final,
+        final_val_acc=log[-1].val_acc,  # the last iteration always evaluates
         best_val_acc=best,
         wall_seconds=time.perf_counter() - started,
         params=params,

@@ -53,7 +53,7 @@ class StepState:
 
 
 def pool_arrays(pool: MocoQueues | MemoryBank) -> dict[str, np.ndarray]:
-    """Every array a pool holds: queue buffers, fills and heads, or bank snapshots and labels."""
+    """Every array a pool holds: queue blocks and fills, or bank snapshots, labels and class segments."""
     return {name: value for name, value in vars(pool).items() if isinstance(value, np.ndarray)}
 
 

@@ -153,7 +153,6 @@ class TestSubsamplePerClass:
         sub = subsample_per_class(ds, 1.0, seed=0)
         np.testing.assert_array_equal(sub.features, ds.features)
         np.testing.assert_array_equal(sub.labels, ds.labels)
-        np.testing.assert_array_equal(sub.example_ids, np.arange(len(ds)))
 
     def test_ceiling_rule_small_class(self):
         ds = make_blobs(2, 4, dim=3, separation=2.0, noise=1.0, seed=8)
@@ -223,10 +222,10 @@ class TestSplitStratified:
 class TestDatasetType:
     def test_rejects_bad_labels(self):
         with pytest.raises(DataError):
-            Dataset(np.ones((2, 2)), np.array([0, 5]), np.arange(2), class_count=2)
+            Dataset(np.ones((2, 2)), np.array([0, 5]), class_count=2)
 
     def test_rejects_non_finite(self):
         feats = np.ones((2, 2))
         feats[0, 0] = np.inf
         with pytest.raises(DataError):
-            Dataset(feats, np.array([0, 1]), np.arange(2), class_count=2)
+            Dataset(feats, np.array([0, 1]), class_count=2)

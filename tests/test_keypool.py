@@ -1,5 +1,7 @@
 """Queue and memory-bank behavior: routing, eviction, sampling, mixing."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from dualhead.keypool import (
     _check_unit,
     _draw,
 )
+from dualhead.ndgrad import DegenerateRowError
+from unfused import RingQueues, per_class_bank_sample
 
 
 def unit(vec):
@@ -348,10 +352,22 @@ class TestUnitNormChecks:
         h_new = -bank.h_snap[ids] if opposite == "h" else bank.h_snap[ids]
         z_new = -bank.z_snap[ids] if opposite == "z" else bank.z_snap[ids]
         with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError, match=f"{opposite}_snapshot must be unit-norm, got \\|v\\|=nan"):
+            with pytest.raises(ValueError, match=f"{opposite}_snapshot of example 2 has norm 0.000e\\+00 < 1e-12"):
                 bank.update(ids, h_new, z_new)
         np.testing.assert_array_equal(bank.h_snap, before[0])
         np.testing.assert_array_equal(bank.z_snap, before[1])
+
+    def test_a_row_mixed_to_zero_is_a_degenerate_row(self):
+        # The numerical error (exit 2) every other degenerate row raises, checked before any division.
+        bank = TestMemoryBank().make_bank()
+        before = bank.h_snap.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateRowError) as err:
+                bank.update(np.array([0, 3]), bank.h_snap[[0, 3]] * [[1.0], [-1.0]], bank.z_snap[[0, 3]])
+        assert type(err.value) is DegenerateRowError
+        assert str(err.value) == "h_snapshot of example 3 has norm 0.000e+00 < 1e-12"
+        np.testing.assert_array_equal(bank.h_snap, before)
 
     def test_gathered_sample_rejects_a_non_unit_query_key(self):
         pool = MocoQueues(class_count=1, queue_size=4)
@@ -436,3 +452,65 @@ class TestNormsAreTheLinalgNorm:
                 _check_unit(h_keys=keys)
             # The axis form: np.linalg.norm of a lone 1-D vector takes a dot product instead.
             assert str(err.value).endswith(f"|v|={float(np.linalg.norm(keys, axis=-1)[i, j])!r}")
+
+
+def random_keys(rng, n, d, L, class_count):
+    h, z = rng.normal(size=(n, d)), rng.normal(size=(n, L))
+    h /= np.linalg.norm(h, axis=1, keepdims=True)
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return h, z, rng.integers(0, class_count, size=n)
+
+
+def twin_generators(meta):
+    seed = int(meta.integers(2**32))
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def assert_same_batch(got, want):
+    for part in ("h_keys", "z_keys", "labels"):
+        np.testing.assert_array_equal(getattr(got, part), getattr(want, part), err_msg=part)
+
+
+class TestSegmentsMatchTheEarlierForms:
+    """Both generators against the code their per-class segments replaced (tests/unfused.py), compared with ==."""
+
+    def test_queues_match_the_ring_buffers(self):
+        # Random chunkings, chunks past Q, one class and Q = 1: the same keys, the same
+        # draws and the same generator state after every chunk.
+        meta = np.random.default_rng(15)
+        for case in range(150):
+            classes = 1 if case % 4 == 0 else int(meta.integers(2, 5))
+            q = 1 if case % 5 == 0 else int(meta.integers(1, 7))
+            d, L = (int(v) for v in meta.integers(1, 5, size=2))
+            fifo, ring = MocoQueues(classes, q), RingQueues(classes, q)
+            for _ in range(int(meta.integers(1, 8))):
+                chunk = random_keys(meta, int(meta.integers(1, 2 * q + 4)), d, L, classes)
+                fifo.enqueue(*chunk)
+                ring.enqueue(*chunk)
+                assert len(fifo) == len(ring)
+                for c in range(classes):
+                    got, want = fifo.entries(c), ring.entries(c)
+                    assert len(got) == len(want), (case, c)
+                    for e_got, e_want in zip(got, want):
+                        assert e_got.label == e_want.label
+                        np.testing.assert_array_equal(e_got.h_key, e_want.h_key)
+                        np.testing.assert_array_equal(e_got.z_key, e_want.z_key)
+                queries, k = random_keys(meta, int(meta.integers(1, 6)), d, L, classes), int(meta.integers(1, 4))
+                got_rng, want_rng = twin_generators(meta)
+                assert_same_batch(fifo.sample(k, *queries, got_rng), ring.sample(k, *queries, want_rng))
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state, case
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_bank_matches_the_per_class_gather(self, uniform):
+        # Labels in any order, absent classes and one-class banks included.
+        meta = np.random.default_rng(16 + uniform)
+        for case in range(150):
+            n = int(meta.integers(1, 30))
+            labels = meta.choice(meta.integers(0, 5, size=1 if case % 4 == 0 else 3), size=n)
+            bank = MemoryBank(labels, m_bank=0.5)
+            bank.initialize(meta.normal(size=(n, 3)), meta.normal(size=(n, 2)))
+            queries, k = random_keys(meta, int(meta.integers(1, 6)), 3, 2, 5), int(meta.integers(1, 4))
+            got_rng, want_rng = twin_generators(meta)
+            got = bank.sample(k, *queries, got_rng, uniform=uniform)
+            assert_same_batch(got, per_class_bank_sample(bank, k, *queries, want_rng, uniform=uniform))
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, case

@@ -25,6 +25,7 @@ from dualhead.trainer import (
     step,
     warmup,
 )
+from unfused import newest_per_class_warmup
 
 
 def small_cfg(**over):
@@ -188,7 +189,7 @@ class TestStep:
         if warm:
             warmup(twin, pool, train)
         opt = init_optimizer(params, cfg)
-        batch = (train.features[:4], train.labels[:4], train.example_ids[:4])
+        batch = (train.features[:4], train.labels[:4], np.arange(4))
         return train, params, twin, pool, opt, batch
 
     def test_ce_only_reduces_to_vanilla_fine_tuning(self):
@@ -440,6 +441,27 @@ class TestWarmup:
             for row, e in zip(h_t, got):
                 np.testing.assert_allclose(e.h_key, row, atol=1e-15)
 
+    @pytest.mark.parametrize("hidden", [(6,), ()])
+    @pytest.mark.parametrize("queue_size", [1, 3, 8, 64])
+    def test_queue_warmup_matches_the_newest_per_class_pass(self, queue_size, hidden):
+        # Every row forwarded 256 at a time, then enqueued, against a forward of only each
+        # class's newest rows. A forward's rounding may depend on its batch size, so the
+        # keys are compared to 1e-12 relative. 300 rows in shuffled class order span two
+        # forwards; queue_size 64 exceeds every class's 50 rows.
+        blobs = make_blobs(6, 50, dim=5, separation=5.0, noise=0.8, seed=7)
+        ds = blobs.take(np.random.default_rng(8).permutation(len(blobs)))
+        dims = ModelDims(in_dim=5, hidden=hidden, feature_dim=5, class_count=6, projector_dim=4)
+        twin = init_twin(init_params(dims, np.random.default_rng(9)), 0.9)
+        pool, want = MocoQueues(6, queue_size), MocoQueues(6, queue_size)
+        warmup(twin, pool, ds)
+        newest_per_class_warmup(twin, want, ds)
+        for c in range(6):
+            got, expect = pool.entries(c), want.entries(c)
+            assert len(got) == len(expect) == min(queue_size, 50)
+            for part in ("h_key", "z_key"):
+                a, b = (np.array([getattr(e, part) for e in entries]) for entries in (got, expect))
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), (c, part)
+
     def test_bank_mode_snapshots_every_example(self):
         cfg = small_cfg(keys__generator="membank")
         ds = make_blobs(2, 7, dim=3, separation=5.0, noise=0.5, seed=5)
@@ -486,7 +508,7 @@ class TestEvaluate:
         from dualhead.data import Dataset
 
         params = self.constant_predictor()
-        ds = Dataset(np.random.default_rng(0).normal(size=(6, 2)), np.zeros(6, dtype=int), np.arange(6), 3)
+        ds = Dataset(np.random.default_rng(0).normal(size=(6, 2)), np.zeros(6, dtype=int), 3)
         assert evaluate(params, ds) == 1.0
 
     def test_constant_predictor_on_balanced_set(self):
@@ -494,7 +516,7 @@ class TestEvaluate:
 
         params = self.constant_predictor(class_count=2)
         labels = np.array([0, 1] * 5)
-        ds = Dataset(np.random.default_rng(1).normal(size=(10, 2)), labels, np.arange(10), 2)
+        ds = Dataset(np.random.default_rng(1).normal(size=(10, 2)), labels, 2)
         assert evaluate(params, ds) == 0.5
 
     def test_hand_built_logits_table(self):
@@ -507,7 +529,7 @@ class TestEvaluate:
         params.projector_w.data[:] = 1.0
         logits_table = np.array([[2.0, 1.0], [0.0, 3.0], [5.0, 5.0], [1.0, 0.0]])
         labels = np.array([0, 1, 1, 1])  # predictions: 0, 1, 0 (tie), 0 -> 2/4
-        ds = Dataset(logits_table, labels, np.arange(4), 2)
+        ds = Dataset(logits_table, labels, 2)
         assert evaluate(params, ds) == 0.5
 
     def test_empty_dataset_rejected(self):

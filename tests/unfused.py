@@ -11,13 +11,21 @@ monkeypatch them into ``dualhead.ndgrad`` and compare bit for bit.
 ``row_dot_slab`` is the zeroed-slab and rank-1 ``E0`` chain ``cce`` once
 built for a live slot 0; it rounds differently from the fused form, so
 tests compare the two to 1e-12, not bitwise.
+
+The key pools' earlier forms are kept the same way: ``RingQueues``, the
+per-class ring buffers with a head slot and modular slot arithmetic;
+``per_class_bank_sample``, the memory bank's per-class gather; and
+``newest_per_class_warmup``, the queue warm-up that forwarded only each
+class's newest ``queue_size`` rows.
 """
 
 from typing import Sequence
 
 import numpy as np
 
+import dualhead.model as model_mod
 import dualhead.ndgrad as nd
+from dualhead.keypool import KeyEntry, MocoQueues, _check_unit, _draw, _key_rows, _with_queries
 from dualhead.ndgrad import ShapeError, Tensor
 
 
@@ -111,3 +119,62 @@ def row_dot_slab(a: Tensor, slab: np.ndarray, live0: Tensor | None = None) -> Te
     e0 = np.zeros((a.shape[1], bank.shape[1]))
     e0[:, 0] = 1.0
     return nd.add(_row_dot_slab(a, bank), matmul(nd.mul(a, live0), Tensor(e0)))
+
+
+class RingQueues(MocoQueues):
+    """Per-class ring buffers: a class's oldest key sits at its head slot, the rest follow modulo queue_size."""
+
+    def __init__(self, class_count: int, queue_size: int):
+        super().__init__(class_count, queue_size)
+        self._head = np.zeros(self.class_count, dtype=np.int64)
+
+    def entries(self, label: int) -> list[KeyEntry]:
+        slots = (self._head[label] + np.arange(self._fill[label])) % self.queue_size
+        return [KeyEntry(self._h[label, s].copy(), self._z[label, s].copy(), label) for s in slots]
+
+    def enqueue(self, h: np.ndarray, z: np.ndarray, labels: np.ndarray) -> None:
+        h, z, labels = _key_rows(h, z, labels)
+        outside = labels[(labels < 0) | (labels >= self.class_count)]
+        if outside.size:
+            raise IndexError(f"label {outside[0]} out of range [0, {self.class_count})")
+        _check_unit(h_key=h, z_key=z)
+        if self._h is None:
+            self._h = np.zeros((self.class_count, self.queue_size, h.shape[1]))
+            self._z = np.zeros((self.class_count, self.queue_size, z.shape[1]))
+        q = self.queue_size
+        for c in np.unique(labels).tolist():
+            rows = np.flatnonzero(labels == c)
+            total = int(self._fill[c]) + rows.size
+            keep = rows[-q:]
+            slots = (self._head[c] + total - keep.size + np.arange(keep.size)) % q
+            self._h[c, slots] = h[keep]
+            self._z[c, slots] = z[keep]
+            self._head[c] = (self._head[c] + max(0, total - q)) % q
+            self._fill[c] = min(total, q)
+
+    def sample(self, keys_per_class: int, h_query, z_query, labels, rng: np.random.Generator):
+        classes = np.flatnonzero(self._fill)
+        picks = _draw(rng, len(labels), self._fill[classes], keys_per_class)
+        b = picks.shape[0]
+        cls = np.broadcast_to(classes[None, :, None], picks.shape).reshape(b, -1)
+        slots = ((self._head[classes][None, :, None] + picks) % self.queue_size).reshape(b, -1)
+        return _with_queries((h_query, z_query, labels), self._h[cls, slots], self._z[cls, slots], cls)
+
+
+def per_class_bank_sample(bank, count_per_class: int, h_query, z_query, labels, rng, uniform: bool = False):
+    """MemoryBank.sample through per-class member lists, one fancy index per class."""
+    members = [np.flatnonzero(bank.labels == c) for c in np.unique(bank.labels)]
+    if uniform:
+        picks = _draw(rng, len(labels), [bank.labels.shape[0]], count_per_class * len(members))
+        idx = picks[:, 0]
+    else:
+        picks = _draw(rng, len(labels), [m.shape[0] for m in members], count_per_class)
+        idx = np.stack([m[picks[:, j]] for j, m in enumerate(members)], axis=1).reshape(picks.shape[0], -1)
+    return _with_queries((h_query, z_query, labels), bank.h_snap[idx], bank.z_snap[idx], bank.labels[idx])
+
+
+def newest_per_class_warmup(twin, pool: MocoQueues, ds) -> None:
+    """Forward only the newest queue_size rows of each class, in dataset order, in one pass."""
+    newest = [np.flatnonzero(ds.labels == c)[-pool.queue_size:] for c in range(ds.class_count)]
+    order = np.sort(np.concatenate(newest))
+    pool.enqueue(*model_mod.forward_key(twin, Tensor(ds.features[order])), ds.labels[order])
