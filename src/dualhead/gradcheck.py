@@ -1,7 +1,9 @@
 """Finite-difference verification of every op and loss gradient.
 
 The oracle is central differences with eps = 1e-6 on float64 values,
-compared coordinate by coordinate against the backward pass. The
+compared coordinate by coordinate against the backward pass. A leaf's
+2n perturbed copies run as one stacked forward (``ndgrad``'s replica
+axis), so each leaf costs one forward, not 2n. The
 comparison is relative above a small magnitude floor and absolute below
 it (FD noise for a loss of size f is about f * 1e-10 at this eps, so
 near-zero true gradients would otherwise drown in cancellation noise).
@@ -51,18 +53,31 @@ def analytic_gradients(forward: Callable[[], Tensor], wrt: Sequence[Tensor]) -> 
 
 
 def finite_difference(forward: Callable[[], Tensor], t: Tensor, eps: float = EPS) -> np.ndarray:
-    """Central-difference gradient of forward() w.r.t. one leaf tensor."""
-    flat = t.data.reshape(-1)
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        f_plus = forward().item()
-        flat[i] = orig - eps
-        f_minus = forward().item()
-        flat[i] = orig
-        grad[i] = (f_plus - f_minus) / (2.0 * eps)
-    return grad.reshape(t.data.shape)
+    """Central-difference gradient of forward() w.r.t. one leaf tensor, from one stacked forward.
+
+    The leaf's n coordinates become 2n replicas of it on ``ndgrad``'s
+    replica axis: replica 2j has coordinate j raised by eps, replica 2j+1
+    has it lowered by eps. One forward() then gives all 2n values, and the
+    leaf gets its own data back. A forward that never reads the leaf
+    returns an unstacked value, and its difference quotient is 0.
+    """
+    data = t.data
+    n = data.size
+    flat = data.reshape(-1)
+    replicas = np.repeat(flat[None], 2 * n, axis=0)
+    j = np.arange(n)
+    replicas[2 * j, j] = flat + eps
+    replicas[2 * j + 1, j] = flat - eps
+    t.data, t.stacked = replicas.reshape((2 * n, *data.shape)), True
+    try:
+        f = forward()
+    finally:
+        t.data, t.stacked = data, False
+    if not f.stacked:
+        return np.zeros_like(data)
+    if f.shape != (2 * n,):
+        raise nd.ShapeError(f"finite differences need a scalar forward, got {f.shape[1:]} per replica")
+    return ((f.data[0::2] - f.data[1::2]) / (2.0 * eps)).reshape(data.shape)
 
 
 def worst_relative_error(

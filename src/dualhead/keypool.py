@@ -204,7 +204,15 @@ class MemoryBank:
         h, z = (np.asarray(a, dtype=np.float64) for a in (h, z))
         if h.shape[0] != self.labels.shape[0] or z.shape[0] != self.labels.shape[0]:
             raise ValueError("snapshot row count must equal the number of examples")
-        h, z = h / _row_norms(h), z / _row_norms(z)
+        h_norms, z_norms = _row_norms(h), _row_norms(z)
+        for name, norms in (("h_snapshot", h_norms), ("z_snapshot", z_norms)):
+            # Scale-free, unlike update's NORM_EPS: only a norm of 0, inf or NaN cannot be scaled to 1.
+            bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
+            if bad.size:
+                row = int(bad[0])
+                norm = norms[row, 0]
+                raise DegenerateRowError(f"{name} of example {row} has norm {norm:.3e} and cannot be made unit")
+        h, z = h / h_norms, z / z_norms
         _check_unit(h_snapshot=h, z_snapshot=z)
         self.h_snap, self.z_snap = h, z
 

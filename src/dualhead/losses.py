@@ -28,6 +28,9 @@ the batch size so the three terms stay mutually comparable either way.
 Each term ends in one ``ndgrad.masked_nll`` node over its raw scores:
 the 1/tau scale, the row log-softmax, the mask, the sum and one scale of
 that sum, by -1 or by -1/B.
+Shapes are read from the trailing axes, so a stacked feature, projection
+or prototype matrix (``ndgrad``'s replica axis) gives one loss per
+replica.
 Keys arrive as one ``KeyBatch`` for the whole batch, and each
 contrastive loss builds one (B x (K+1)) similarity matrix from it with
 ``ndgrad.row_dot_slab``. Keys are constant arrays: gradients flow to the
@@ -91,7 +94,7 @@ def _masked_nll(scores: Tensor, mask: np.ndarray, reduction: str = "sum", inv_ta
     """-sum(log_softmax_row(scores * inv_tau) * mask), divided by the batch size under "mean": one node."""
     if reduction not in REDUCTIONS:
         raise ValueError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
-    scale = -1.0 / scores.shape[0] if reduction == "mean" else -1.0
+    scale = -1.0 / scores.shape[-2] if reduction == "mean" else -1.0
     return nd.masked_nll(scores, mask, scale, inv_tau)
 
 
@@ -108,7 +111,7 @@ def _check_keys(keys: KeyBatch, labels: np.ndarray, b: int, rows: np.ndarray, di
 
 def ce(logits: Tensor, labels: np.ndarray, reduction: str = "sum") -> Tensor:
     """Cross-entropy over class logits, summed over the batch."""
-    b, c = logits.shape
+    b, c = logits.shape[-2:]
     labels = _check_labels(labels, c)
     if labels.shape[0] != b:
         raise nd.ShapeError(f"{labels.shape[0]} labels for batch of {b}")
@@ -120,12 +123,12 @@ def ce(logits: Tensor, labels: np.ndarray, reduction: str = "sum") -> Tensor:
 def info_nce(q: Tensor, keys: KeyBatch, positive_index: int, tau: float) -> Tensor:
     """One-positive contrastive loss of unit queries against their K+1 unit keys."""
     tau = _check_tau(tau)
-    if q.data.ndim != 2 or q.shape[0] != keys.labels.shape[0]:
+    if q.data.ndim != 2 + q.stacked or q.shape[-2] != keys.labels.shape[0]:
         raise nd.ShapeError(f"need one query row per key row ({keys.labels.shape[0]}), got {q.shape}")
     n = keys.size + 1
     if not 0 <= positive_index < n:
         raise IndexError(f"positive_index {positive_index} out of range [0, {n})")
-    mask = np.zeros((q.shape[0], n))
+    mask = np.zeros((q.shape[-2], n))
     mask[:, positive_index] = 1.0
     return _masked_nll(nd.row_dot_slab(q, keys.z_keys), mask, inv_tau=1.0 / tau)
 
@@ -150,8 +153,8 @@ def cce(
     tau = _check_tau(tau)
     if variant not in CCE_VARIANTS:
         raise ValueError(f"variant must be one of {CCE_VARIANTS}, got {variant!r}")
-    b, d = h_q_norm.shape
-    labels = _check_labels(labels, W.shape[0])
+    b, d = h_q_norm.shape[-2:]
+    labels = _check_labels(labels, W.shape[-2])
     _check_keys(keys, labels, b, keys.h_keys, d, "feature")
     sims = nd.row_dot_slab(nd.select_rows(W, labels), keys.h_keys, live0=h_q_norm)
     positives = keys.positive_mask(labels)
@@ -172,7 +175,7 @@ def ccl(
 ) -> Tensor:
     """Projector-head contrastive loss with all same-class keys positive."""
     tau = _check_tau(tau)
-    b, L = z_q.shape
+    b, L = z_q.shape[-2:]
     labels = np.asarray(labels, dtype=np.int64)
     _check_keys(keys, labels, b, keys.z_keys, L, "projection")
     sims = nd.row_dot_slab(z_q, keys.z_keys)

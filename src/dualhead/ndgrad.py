@@ -18,6 +18,14 @@ gradient buffer, which belongs to the one tape they participate in, and
 in-place value updates applied to leaf parameters *between* tapes (the
 optimizer and the momentum twin do this). A tensor owns its gradient
 buffer: it never aliases an upstream gradient or another tensor's buffer.
+
+A tensor marked ``stacked`` holds R replicas of one value on a leading
+axis: its ``data`` is (R, *shape), and every op applies its rule to
+each replica, broadcasting an unstacked operand across them. The mark
+is set explicitly (finite differences put the 2n perturbed copies of a
+leaf on it), never inferred from rank, and ``_from_op`` carries it to
+the result. The replica axis is forward-only: a stacked result joins
+no tape and cannot be backpropagated.
 """
 
 from __future__ import annotations
@@ -46,10 +54,10 @@ class Tensor:
 
     ``grad_enabled`` tensors record how they were produced; calling
     ``backward`` on a scalar result populates ``grad`` on every enabled
-    ancestor. Tensors built from raw data are leaves.
+    ancestor. Tensors built from raw data are leaves, never ``stacked``.
     """
 
-    __slots__ = ("data", "grad", "grad_enabled", "_parents", "_backward", "_op")
+    __slots__ = ("data", "grad", "grad_enabled", "stacked", "_parents", "_backward", "_op")
 
     def __init__(self, data, grad_enabled: bool = False):
         arr = np.array(data, dtype=np.float64)
@@ -57,6 +65,7 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.grad_enabled = grad_enabled
+        self.stacked = False
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
         self._op = "leaf"
@@ -80,6 +89,8 @@ class Tensor:
         graph afterwards; intermediate results cannot be backpropagated
         twice.
         """
+        if self.stacked:
+            raise ShapeError(f"backward() on a stacked result {self.shape}: the replica axis is forward-only")
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -111,23 +122,40 @@ class Tensor:
         return f"Tensor(shape={self.shape}, grad_enabled={self.grad_enabled}, op={self._op})"
 
 
-def _check_finite(arr: np.ndarray, op: str) -> None:
+def _non_finite(arr: np.ndarray, op: str, stacked: bool) -> NonFiniteError:
+    where = ""
+    if stacked:  # name the first bad replica, and its row when each replica is a matrix
+        index = np.argwhere(~np.isfinite(arr))[0]
+        where = f" in replica {index[0]}" + (f" row {index[1]}" if index.size == 3 else "")
+    return NonFiniteError(f"non-finite value produced by {op}{where}")
+
+
+def _check_finite(arr: np.ndarray, op: str, stacked: bool = False) -> None:
     if not np.isfinite(arr).all():
-        raise NonFiniteError(f"non-finite value produced by {op}")
+        raise _non_finite(arr, op, stacked)
+
+
+def _item_shape(t: Tensor) -> tuple[int, ...]:
+    """The shape of one replica: the whole shape of an unstacked tensor."""
+    return t.shape[1:] if t.stacked else t.shape
 
 
 def _from_op(
     arr: np.ndarray,
     op: str,
     parents: tuple[Tensor, ...],
-    backward: Callable[[np.ndarray], None],
+    backward: Callable[[np.ndarray], None] | None,
+    stacked: bool = False,
 ) -> Tensor:
-    _check_finite(arr, op)
+    """The op's result node; a ``stacked`` one is marked so and kept off the tape."""
+    if not np.isfinite(arr).all():  # _check_finite, inlined: every op's result passes here
+        raise _non_finite(arr, op, stacked)
     out = Tensor.__new__(Tensor)
     out.data = arr
     out.grad = None
     out._op = op
-    if any(p.grad_enabled for p in parents):
+    out.stacked = stacked
+    if not stacked and any(p.grad_enabled for p in parents):
         out.grad_enabled = True
         out._parents = parents
         out._backward = backward
@@ -151,18 +179,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, w_rows: bool = False) 
     """x @ w (+ b) as one node; ``w_rows`` takes w as (out x in) rows, giving x @ w.T.
 
     The rows form multiplies by a contiguous copy of w.T, never by the
-    transposed view: the two can round differently.
+    transposed view: the two can round differently. Stacked operands
+    multiply replica by replica.
     """
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ShapeError(f"linear needs 2-D operands, got {x.shape} and {w.shape}")
-    wt = w.data.T.copy() if w_rows else w.data
-    if x.shape[1] != wt.shape[0]:
-        raise ShapeError(f"linear inner dims disagree: {x.shape} x {wt.shape}")
-    if b is not None and b.shape != (wt.shape[1],):
-        raise ShapeError(f"linear bias shape {b.shape} != ({wt.shape[1]},)")
+    if x.data.ndim != 2 + x.stacked or w.data.ndim != 2 + w.stacked:
+        raise ShapeError(f"linear needs 2-D operands, got {_item_shape(x)} and {_item_shape(w)}")
+    wt = (w.data.swapaxes(-1, -2) if w.stacked else w.data.T).copy() if w_rows else w.data
+    if x.shape[-1] != wt.shape[-2]:
+        raise ShapeError(f"linear inner dims disagree: {_item_shape(x)} x {wt.shape[-2:]}")
+    if b is not None and (b.data.ndim != 1 + b.stacked or b.shape[-1] != wt.shape[-1]):
+        raise ShapeError(f"linear bias shape {_item_shape(b)} != ({wt.shape[-1]},)")
     out = x.data @ wt
     if b is not None:
-        out = out + b.data
+        out = out + (b.data[:, None] if b.stacked else b.data)
 
     def backward(g: np.ndarray) -> None:
         if b is not None:
@@ -170,31 +199,32 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, w_rows: bool = False) 
         _accumulate(x, g @ wt.T)
         _accumulate(w, (x.data.T @ g).T if w_rows else x.data.T @ g)
 
-    return _from_op(out, "linear", (x, w) if b is None else (x, w, b), backward)
+    stacked = x.stacked or w.stacked or (b is not None and b.stacked)
+    return _from_op(out, "linear", (x, w) if b is None else (x, w, b), backward, stacked)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of same-shape tensors (the terms of the joint loss)."""
-    if a.shape != b.shape:
-        raise ShapeError(f"add shapes disagree: {a.shape} vs {b.shape}")
+    if (a.shape != b.shape or a.stacked != b.stacked) and _item_shape(a) != _item_shape(b):
+        raise ShapeError(f"add shapes disagree: {_item_shape(a)} vs {_item_shape(b)}")
 
     def backward(g: np.ndarray) -> None:
         _accumulate(a, g)
         _accumulate(b, g)
 
-    return _from_op(a.data + b.data, "add", (a, b), backward)
+    return _from_op(a.data + b.data, "add", (a, b), backward, a.stacked or b.stacked)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of same-shape tensors (gradcheck's scalar head weights an op's output)."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shapes disagree: {a.shape} vs {b.shape}")
+    if (a.shape != b.shape or a.stacked != b.stacked) and _item_shape(a) != _item_shape(b):
+        raise ShapeError(f"mul shapes disagree: {_item_shape(a)} vs {_item_shape(b)}")
 
     def backward(g: np.ndarray) -> None:
         _accumulate(a, g * b.data)
         _accumulate(b, g * a.data)
 
-    return _from_op(a.data * b.data, "mul", (a, b), backward)
+    return _from_op(a.data * b.data, "mul", (a, b), backward, a.stacked or b.stacked)
 
 
 def scale_by_scalar(a: Tensor, s: float) -> Tensor:
@@ -203,7 +233,7 @@ def scale_by_scalar(a: Tensor, s: float) -> Tensor:
     def backward(g: np.ndarray) -> None:
         _accumulate(a, g * s)
 
-    return _from_op(a.data * s, "scale_by_scalar", (a,), backward)
+    return _from_op(a.data * s, "scale_by_scalar", (a,), backward, a.stacked)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -212,11 +242,13 @@ def relu(a: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         _accumulate(a, g * mask)
 
-    return _from_op(np.where(mask, a.data, 0.0), "relu", (a,), backward)
+    return _from_op(np.where(mask, a.data, 0.0), "relu", (a,), backward, a.stacked)
 
 
 def sum(a: Tensor) -> Tensor:  # noqa: A001 - spec'd op name
-    """Sum of all entries, as a scalar tensor."""
+    """Sum of all entries, as a scalar tensor; a stacked operand sums to one value per replica."""
+    if a.stacked:
+        return _from_op(a.data.reshape(a.shape[0], -1).sum(axis=1), "sum", (a,), None, True)
 
     def backward(g: np.ndarray) -> None:
         _accumulate(a, np.full_like(a.data, float(g)))
@@ -226,13 +258,15 @@ def sum(a: Tensor) -> Tensor:  # noqa: A001 - spec'd op name
 
 def select_rows(a: Tensor, indices) -> Tensor:
     """Gather rows by index; duplicate indices are allowed."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"select_rows needs a 2-D operand, got {a.shape}")
+    if a.data.ndim != 2 + a.stacked:
+        raise ShapeError(f"select_rows needs a 2-D operand, got {_item_shape(a)}")
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError("select_rows indices must be 1-D")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise IndexError(f"row index out of range for shape {a.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[-2]):
+        raise IndexError(f"row index out of range for shape {_item_shape(a)}")
+    if a.stacked:
+        return _from_op(a.data[:, idx], "select_rows", (a,), None, True)
 
     def backward(g: np.ndarray) -> None:
         if a.grad_enabled:
@@ -250,20 +284,37 @@ def row_dot_slab(a: Tensor, slab: np.ndarray, live0: Tensor | None = None) -> Te
     read: column 0 is a[b] . live0[b], on the tape for both operands.
     """
     slab = np.asarray(slab, dtype=np.float64)
-    if a.data.ndim != 2 or slab.ndim != 3 or slab.shape[0] != a.shape[0] or slab.shape[2] != a.shape[1]:
-        raise ShapeError(f"row_dot_slab needs (B x d) rows and a (B x N x d) slab, got {a.shape} and {slab.shape}")
+    if a.data.ndim != 2 + a.stacked or slab.ndim != 3 or slab.shape[0] != a.shape[-2] or slab.shape[2] != a.shape[-1]:
+        raise ShapeError(
+            f"row_dot_slab needs (B x d) rows and a (B x N x d) slab, got {_item_shape(a)} and {slab.shape}"
+        )
+    stacked = a.stacked
     if live0 is not None:
-        if live0.shape != a.shape or slab.shape[1] == 0:
-            raise ShapeError(f"row_dot_slab live0 needs the rows' shape {a.shape} and a slot 0, got {live0.shape}")
-        slab = np.concatenate([live0.data[:, None], slab[:, 1:]], axis=1)
+        same = (live0.shape == a.shape and live0.stacked == a.stacked) or _item_shape(live0) == _item_shape(a)
+        if not same or slab.shape[1] == 0:
+            raise ShapeError(
+                f"row_dot_slab live0 needs the rows' shape {_item_shape(a)} and a slot 0, got {_item_shape(live0)}"
+            )
+        if live0.stacked:  # every replica's slot 0 ahead of the shared rest of the slab
+            stacked = True
+            rest = np.broadcast_to(slab[:, 1:], (live0.shape[0], slab.shape[0], slab.shape[1] - 1, slab.shape[2]))
+            slab = np.concatenate([live0.data[:, :, None], rest], axis=2)
+        else:
+            slab = np.concatenate([live0.data[:, None], slab[:, 1:]], axis=1)
+    parents = (a,) if live0 is None else (a, live0)
+    if stacked:
+        return _from_op(np.einsum("...bd,...bnd->...bn", a.data, slab), "row_dot_slab", parents, None, True)
 
     def backward(g: np.ndarray) -> None:
         _accumulate(a, np.einsum("bn,bnd->bd", g, slab))
         if live0 is not None:
             _accumulate(live0, g[:, :1] * a.data)
 
-    parents = (a,) if live0 is None else (a, live0)
     return _from_op(np.einsum("bd,bnd->bn", a.data, slab), "row_dot_slab", parents, backward)
+
+
+def _row_name(index: tuple[int, ...], stacked: bool) -> str:
+    return f"replica {index[0]} row {index[1]}" if stacked else f"row {index[0]}"
 
 
 def row_l2_normalize(a: Tensor) -> Tensor:
@@ -272,15 +323,20 @@ def row_l2_normalize(a: Tensor) -> Tensor:
     A row with norm below ``NORM_EPS`` is a hard error: silently clamping
     would hide a collapsed feature extractor from every downstream check.
     """
-    if a.data.ndim != 2:
-        raise ShapeError(f"row_l2_normalize needs a 2-D operand, got {a.shape}")
-    norms = np.sqrt(np.add.reduce(a.data * a.data, axis=1, keepdims=True))  # np.linalg.norm's sum, bit for bit
+    if a.data.ndim != 2 + a.stacked:
+        raise ShapeError(f"row_l2_normalize needs a 2-D operand, got {_item_shape(a)}")
+    norms = np.sqrt(np.add.reduce(a.data * a.data, axis=-1, keepdims=True))  # np.linalg.norm's sum, bit for bit
     if not np.isfinite(norms).all():
-        raise NonFiniteError("row norm overflowed in row_l2_normalize")
+        index = tuple(np.argwhere(~np.isfinite(norms))[0])
+        raise NonFiniteError(f"{_row_name(index, a.stacked)} norm overflowed in row_l2_normalize")
     if (norms < NORM_EPS).any():
-        row = int(np.argmin(norms))
-        raise DegenerateRowError(f"row {row} has norm {norms[row, 0]:.3e} < {NORM_EPS}")
+        index = np.unravel_index(int(np.argmin(norms)), norms.shape)
+        raise DegenerateRowError(
+            f"{_row_name(index, a.stacked)} has norm {norms[index]:.3e} < {NORM_EPS} in row_l2_normalize"
+        )
     out = a.data / norms
+    if a.stacked:
+        return _from_op(out, "row_l2_normalize", (a,), None, True)
 
     def backward(g: np.ndarray) -> None:
         # Projection onto the tangent of the unit sphere, scaled by 1/norm.
@@ -295,16 +351,23 @@ def masked_nll(scores: Tensor, mask: np.ndarray, scale: float, inv_tau: float | 
 
     Forward and backward repeat, step for step, the arithmetic of the
     separate scale, log-softmax, mask, sum and scale ops they replace.
+    Stacked scores give one value per replica.
     """
     mask = np.asarray(mask, dtype=np.float64)
-    if scores.data.ndim != 2 or mask.shape != scores.shape:
-        raise ShapeError(f"masked_nll needs 2-D scores and a mask of their shape, got {scores.shape} and {mask.shape}")
+    stacked = scores.stacked
+    if scores.data.ndim != 2 + stacked or mask.shape != scores.shape[stacked:]:
+        raise ShapeError(
+            f"masked_nll needs 2-D scores and a mask of their shape, got {_item_shape(scores)} and {mask.shape}"
+        )
     _check_finite(mask, "masked_nll mask")
     scale = float(scale)
     s = scores.data if inv_tau is None else scores.data * inv_tau
-    shifted = s - s.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    _check_finite(logp, "masked_nll")
+    shifted = s - s.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    _check_finite(logp, "masked_nll", stacked)
+    if stacked:
+        per_replica = (logp * mask).reshape(logp.shape[0], -1).sum(axis=1)
+        return _from_op(per_replica * scale, "masked_nll", (scores,), None, True)
 
     def backward(g: np.ndarray) -> None:
         gl = np.full_like(logp, float(g * scale)) * mask

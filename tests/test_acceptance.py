@@ -197,9 +197,11 @@ def test_criterion_4_ablation_direction():
     Gates: the full three-loss combination must beat plain cross-entropy
     on mean final accuracy, and each combination that extends a CE
     baseline (CE+CCE, CE+CCL) must stay within 2 points of it. The
-    CE-free row is reported for completeness; training it from a random
-    encoder is outside the fine-tuning regime the reference results
-    assume, so it carries no gate (see the acceptance notes in README).
+    CE-free row is reported for completeness and carries no gate: with
+    no ``ce`` term nothing holds the prototype row norms together, they
+    drift apart, and the largest-norm prototype wins every argmax. It
+    stays near a constant predictor from a pre-trained encoder too (see
+    "Scale and scope" in README).
     """
     started = time.perf_counter()
     seeds = range(5)

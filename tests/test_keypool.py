@@ -331,9 +331,22 @@ class TestUnitNormChecks:
     def test_initialize_rejects_a_row_that_cannot_be_made_unit(self):
         bank = MemoryBank(np.array([0, 1, 1]), m_bank=0.5)
         h = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError, match="unit-norm"):
+        message = "^h_snapshot of example 1 has norm 0.000e\\+00 and cannot be made unit$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # checked before any division
+            with pytest.raises(DegenerateRowError, match=message):
                 bank.initialize(h, np.eye(3)[:, :2] + 0.5)
+        assert not bank.initialized
+
+    @pytest.mark.parametrize("value, shown", [(np.inf, "inf"), (np.nan, "nan")])
+    def test_initialize_rejects_a_non_finite_row(self, value, shown):
+        bank = MemoryBank(np.array([0, 1, 1]), m_bank=0.5)
+        z = np.eye(3)[:, :2] + 0.5
+        z[2, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateRowError, match=f"^z_snapshot of example 2 has norm {shown} and cannot be"):
+                bank.initialize(np.eye(3)[:, :2] + 0.5, z)
         assert not bank.initialized
 
     def test_update_rejects_a_non_unit_row(self):

@@ -12,6 +12,12 @@ monkeypatch them into ``dualhead.ndgrad`` and compare bit for bit.
 built for a live slot 0; it rounds differently from the fused form, so
 tests compare the two to 1e-12, not bitwise.
 
+``finite_difference`` is gradcheck's coordinate loop, two forwards per
+coordinate with the leaf perturbed in place; the stacked form must
+match it bit for bit. ``worst_relative_error`` runs gradcheck's
+comparison over that loop, for forwards built on the 2-D-only chains
+above, which cannot take a replica axis.
+
 The key pools' earlier forms are kept the same way: ``RingQueues``, the
 per-class ring buffers with a head slot and modular slot arithmetic;
 ``per_class_bank_sample``, the memory bank's per-class gather; and
@@ -19,12 +25,13 @@ per-class ring buffers with a head slot and modular slot arithmetic;
 class's newest ``queue_size`` rows.
 """
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 import dualhead.model as model_mod
 import dualhead.ndgrad as nd
+from dualhead.gradcheck import EPS, REL_FLOOR, analytic_gradients
 from dualhead.keypool import KeyEntry, MocoQueues, _check_unit, _draw, _key_rows, _with_queries
 from dualhead.ndgrad import ShapeError, Tensor
 
@@ -119,6 +126,33 @@ def row_dot_slab(a: Tensor, slab: np.ndarray, live0: Tensor | None = None) -> Te
     e0 = np.zeros((a.shape[1], bank.shape[1]))
     e0[:, 0] = 1.0
     return nd.add(_row_dot_slab(a, bank), matmul(nd.mul(a, live0), Tensor(e0)))
+
+
+def finite_difference(forward: Callable[[], Tensor], t: Tensor, eps: float = EPS) -> np.ndarray:
+    """Central-difference gradient of forward() w.r.t. one leaf tensor, one coordinate at a time."""
+    flat = t.data.reshape(-1)
+    grad = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        f_plus = forward().item()
+        flat[i] = orig - eps
+        f_minus = forward().item()
+        flat[i] = orig
+        grad[i] = (f_plus - f_minus) / (2.0 * eps)
+    return grad.reshape(t.data.shape)
+
+
+def worst_relative_error(
+    forward: Callable[[], Tensor], wrt: Sequence[Tensor], eps: float = EPS, floor: float = REL_FLOOR
+) -> float:
+    """gradcheck.worst_relative_error with the coordinate loop for its finite differences."""
+    worst = 0.0
+    for t, ana in zip(wrt, analytic_gradients(forward, wrt)):
+        num = finite_difference(forward, t, eps)
+        err = np.abs(ana - num) / np.maximum(np.maximum(np.abs(ana), np.abs(num)), floor)
+        worst = np.maximum(worst, err.max())
+    return float(worst)
 
 
 class RingQueues(MocoQueues):
