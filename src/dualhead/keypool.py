@@ -19,7 +19,10 @@ caller's generator: the keys drawn, and the generator's state after, are
 exactly those of one ``rng.integers(0, n_c, size=k)`` call per (query,
 non-empty class c), queries in batch order and classes ascending, each
 pick shifted by its class's segment start. Unit norm is checked once per
-enqueued, installed, mixed-in or gathered block.
+enqueued, installed, mixed-in or gathered block, and every norm here is
+``ndgrad.row_norms``: a non-finite norm raises ``NonFiniteError`` and a
+norm under its floor ``DegenerateRowError``, both naming the row (the
+example id in the bank).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ndgrad import NORM_EPS, DegenerateRowError
+from .ndgrad import row_norms
 
 UNIT_TOL = 1e-9
 
@@ -37,18 +40,13 @@ class EmptyPoolError(RuntimeError):
     """Sampling was attempted before any key was available."""
 
 
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """(n x 1) Euclidean row norms: np.linalg.norm's own sum, without its Python wrapper."""
-    return np.sqrt(np.add.reduce(a * a, axis=1, keepdims=True))
-
-
 def _check_unit(**blocks: np.ndarray) -> None:
-    """Every vector along each block's last axis must have unit norm (NaN fails too)."""
+    """Every vector along each block's last axis must have unit norm."""
     for name, rows in blocks.items():
-        norms = np.sqrt(np.add.reduce(rows * rows, axis=-1))  # np.linalg.norm(rows, axis=-1), bit for bit
-        bad = ~(np.abs(norms - 1.0) <= UNIT_TOL)
-        if bad.any():
-            raise ValueError(f"{name} must be unit-norm, got |v|={float(norms[bad].flat[0])!r}")
+        norms = row_norms(rows.reshape(-1, rows.shape[-1]), name)
+        off = np.abs(norms - 1.0)
+        if np.maximum.reduce(off, axis=None, initial=0.0) > UNIT_TOL:
+            raise ValueError(f"{name} must be unit-norm, got |v|={float(norms[off > UNIT_TOL].flat[0])!r}")
 
 
 def _key_rows(h, z, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,15 +202,9 @@ class MemoryBank:
         h, z = (np.asarray(a, dtype=np.float64) for a in (h, z))
         if h.shape[0] != self.labels.shape[0] or z.shape[0] != self.labels.shape[0]:
             raise ValueError("snapshot row count must equal the number of examples")
-        h_norms, z_norms = _row_norms(h), _row_norms(z)
-        for name, norms in (("h_snapshot", h_norms), ("z_snapshot", z_norms)):
-            # Scale-free, unlike update's NORM_EPS: only a norm of 0, inf or NaN cannot be scaled to 1.
-            bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
-            if bad.size:
-                row = int(bad[0])
-                norm = norms[row, 0]
-                raise DegenerateRowError(f"{name} of example {row} has norm {norm:.3e} and cannot be made unit")
-        h, z = h / h_norms, z / z_norms
+        # Scale-free, unlike update's NORM_EPS: the floor is the least positive float, so only 0 fails.
+        ids, floor = range(self.labels.shape[0]), np.finfo(np.float64).smallest_subnormal
+        h, z = h / row_norms(h, "h_snapshot", floor, ids), z / row_norms(z, "z_snapshot", floor, ids)
         _check_unit(h_snapshot=h, z_snapshot=z)
         self.h_snap, self.z_snap = h, z
 
@@ -228,12 +220,7 @@ class MemoryBank:
         _check_unit(h_new=h_new, z_new=z_new)
         m = self.m_bank
         h, z = m * self.h_snap[idx] + (1.0 - m) * h_new, m * self.z_snap[idx] + (1.0 - m) * z_new
-        h_norms, z_norms = _row_norms(h), _row_norms(z)
-        for name, norms in (("h_snapshot", h_norms), ("z_snapshot", z_norms)):
-            if norms.min() < NORM_EPS:  # mixed to (near) zero: the rule of ndgrad.row_l2_normalize, checked before dividing
-                row = int(norms.argmin())
-                raise DegenerateRowError(f"{name} of example {idx[row]} has norm {norms[row, 0]:.3e} < {NORM_EPS}")
-        h, z = h / h_norms, z / z_norms
+        h, z = h / row_norms(h, "h_snapshot", ids=idx), z / row_norms(z, "z_snapshot", ids=idx)
         _check_unit(h_snapshot=h, z_snapshot=z)
         self.h_snap[idx], self.z_snap[idx] = h, z
 

@@ -24,8 +24,14 @@ axis: its ``data`` is (R, *shape), and every op applies its rule to
 each replica, broadcasting an unstacked operand across them. The mark
 is set explicitly (finite differences put the 2n perturbed copies of a
 leaf on it), never inferred from rank, and ``_from_op`` carries it to
-the result. The replica axis is forward-only: a stacked result joins
-no tape and cannot be backpropagated.
+the result. Each op has one forward expression for both forms
+(``...``-indexed gathers, ``...`` einsums, trailing-axis reductions);
+the replica axis is forward-only: a stacked result joins no tape and
+cannot be backpropagated.
+
+``row_norms`` is the one row rule, shared with the key pool: a row whose
+norm is not finite, or is below a floor (``NORM_EPS`` on the tape), is
+an error rather than a row to divide by.
 """
 
 from __future__ import annotations
@@ -141,13 +147,13 @@ def _item_shape(t: Tensor) -> tuple[int, ...]:
 
 
 def _from_op(
-    arr: np.ndarray,
-    op: str,
-    parents: tuple[Tensor, ...],
-    backward: Callable[[np.ndarray], None] | None,
-    stacked: bool = False,
+    arr: np.ndarray, op: str, parents: tuple[Tensor, ...], backward: Callable[[np.ndarray], None] | None
 ) -> Tensor:
-    """The op's result node; a ``stacked`` one is marked so and kept off the tape."""
+    """The op's result node: stacked if any parent is, and then kept off the tape."""
+    stacked = enabled = False
+    for p in parents:  # a plain loop: cheaper than any() over a generator for one to three parents
+        stacked = stacked or p.stacked
+        enabled = enabled or p.grad_enabled
     if not np.isfinite(arr).all():  # _check_finite, inlined: every op's result passes here
         raise _non_finite(arr, op, stacked)
     out = Tensor.__new__(Tensor)
@@ -155,7 +161,7 @@ def _from_op(
     out.grad = None
     out._op = op
     out.stacked = stacked
-    if not stacked and any(p.grad_enabled for p in parents):
+    if enabled and not stacked:
         out.grad_enabled = True
         out._parents = parents
         out._backward = backward
@@ -178,20 +184,19 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None, w_rows: bool = False) -> Tensor:
     """x @ w (+ b) as one node; ``w_rows`` takes w as (out x in) rows, giving x @ w.T.
 
-    The rows form multiplies by a contiguous copy of w.T, never by the
-    transposed view: the two can round differently. Stacked operands
-    multiply replica by replica.
+    w is multiplied in C order, the rows form by a contiguous copy of w.T,
+    never by a view in another layout: the two can round differently.
     """
     if x.data.ndim != 2 + x.stacked or w.data.ndim != 2 + w.stacked:
         raise ShapeError(f"linear needs 2-D operands, got {_item_shape(x)} and {_item_shape(w)}")
-    wt = (w.data.swapaxes(-1, -2) if w.stacked else w.data.T).copy() if w_rows else w.data
+    wt = w.data.swapaxes(-1, -2).copy() if w_rows else np.ascontiguousarray(w.data)
     if x.shape[-1] != wt.shape[-2]:
         raise ShapeError(f"linear inner dims disagree: {_item_shape(x)} x {wt.shape[-2:]}")
     if b is not None and (b.data.ndim != 1 + b.stacked or b.shape[-1] != wt.shape[-1]):
         raise ShapeError(f"linear bias shape {_item_shape(b)} != ({wt.shape[-1]},)")
     out = x.data @ wt
     if b is not None:
-        out = out + (b.data[:, None] if b.stacked else b.data)
+        out = out + b.data[..., None, :]
 
     def backward(g: np.ndarray) -> None:
         if b is not None:
@@ -199,8 +204,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, w_rows: bool = False) 
         _accumulate(x, g @ wt.T)
         _accumulate(w, (x.data.T @ g).T if w_rows else x.data.T @ g)
 
-    stacked = x.stacked or w.stacked or (b is not None and b.stacked)
-    return _from_op(out, "linear", (x, w) if b is None else (x, w, b), backward, stacked)
+    return _from_op(out, "linear", (x, w) if b is None else (x, w, b), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -212,7 +216,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, g)
         _accumulate(b, g)
 
-    return _from_op(a.data + b.data, "add", (a, b), backward, a.stacked or b.stacked)
+    return _from_op(a.data + b.data, "add", (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -224,7 +228,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, g * b.data)
         _accumulate(b, g * a.data)
 
-    return _from_op(a.data * b.data, "mul", (a, b), backward, a.stacked or b.stacked)
+    return _from_op(a.data * b.data, "mul", (a, b), backward)
 
 
 def scale_by_scalar(a: Tensor, s: float) -> Tensor:
@@ -233,7 +237,7 @@ def scale_by_scalar(a: Tensor, s: float) -> Tensor:
     def backward(g: np.ndarray) -> None:
         _accumulate(a, g * s)
 
-    return _from_op(a.data * s, "scale_by_scalar", (a,), backward, a.stacked)
+    return _from_op(a.data * s, "scale_by_scalar", (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -242,22 +246,25 @@ def relu(a: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         _accumulate(a, g * mask)
 
-    return _from_op(np.where(mask, a.data, 0.0), "relu", (a,), backward, a.stacked)
+    return _from_op(np.where(mask, a.data, 0.0), "relu", (a,), backward)
+
+
+def _c_order_sum(x: np.ndarray, stacked: bool) -> np.ndarray:
+    """Sum of all entries (per replica if ``stacked``) in C order, never memory order, which a gather can permute."""
+    return np.asarray(np.ascontiguousarray(x).reshape(x.shape[:stacked] + (-1,)).sum(axis=-1))
 
 
 def sum(a: Tensor) -> Tensor:  # noqa: A001 - spec'd op name
     """Sum of all entries, as a scalar tensor; a stacked operand sums to one value per replica."""
-    if a.stacked:
-        return _from_op(a.data.reshape(a.shape[0], -1).sum(axis=1), "sum", (a,), None, True)
 
     def backward(g: np.ndarray) -> None:
         _accumulate(a, np.full_like(a.data, float(g)))
 
-    return _from_op(np.asarray(a.data.sum()), "sum", (a,), backward)
+    return _from_op(_c_order_sum(a.data, a.stacked), "sum", (a,), backward)
 
 
 def select_rows(a: Tensor, indices) -> Tensor:
-    """Gather rows by index; duplicate indices are allowed."""
+    """Gather rows by index into a new array; duplicate indices are allowed."""
     if a.data.ndim != 2 + a.stacked:
         raise ShapeError(f"select_rows needs a 2-D operand, got {_item_shape(a)}")
     idx = np.asarray(indices, dtype=np.int64)
@@ -265,8 +272,6 @@ def select_rows(a: Tensor, indices) -> Tensor:
         raise ShapeError("select_rows indices must be 1-D")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[-2]):
         raise IndexError(f"row index out of range for shape {_item_shape(a)}")
-    if a.stacked:
-        return _from_op(a.data[:, idx], "select_rows", (a,), None, True)
 
     def backward(g: np.ndarray) -> None:
         if a.grad_enabled:
@@ -274,7 +279,7 @@ def select_rows(a: Tensor, indices) -> Tensor:
                 a.grad = np.zeros_like(a.data)
             np.add.at(a.grad, idx, g)
 
-    return _from_op(a.data[idx].copy(), "select_rows", (a,), backward)
+    return _from_op(a.data[..., idx, :], "select_rows", (a,), backward)
 
 
 def row_dot_slab(a: Tensor, slab: np.ndarray, live0: Tensor | None = None) -> Tensor:
@@ -288,55 +293,54 @@ def row_dot_slab(a: Tensor, slab: np.ndarray, live0: Tensor | None = None) -> Te
         raise ShapeError(
             f"row_dot_slab needs (B x d) rows and a (B x N x d) slab, got {_item_shape(a)} and {slab.shape}"
         )
-    stacked = a.stacked
     if live0 is not None:
         same = (live0.shape == a.shape and live0.stacked == a.stacked) or _item_shape(live0) == _item_shape(a)
         if not same or slab.shape[1] == 0:
             raise ShapeError(
                 f"row_dot_slab live0 needs the rows' shape {_item_shape(a)} and a slot 0, got {_item_shape(live0)}"
             )
-        if live0.stacked:  # every replica's slot 0 ahead of the shared rest of the slab
-            stacked = True
-            rest = np.broadcast_to(slab[:, 1:], (live0.shape[0], slab.shape[0], slab.shape[1] - 1, slab.shape[2]))
-            slab = np.concatenate([live0.data[:, :, None], rest], axis=2)
-        else:
-            slab = np.concatenate([live0.data[:, None], slab[:, 1:]], axis=1)
-    parents = (a,) if live0 is None else (a, live0)
-    if stacked:
-        return _from_op(np.einsum("...bd,...bnd->...bn", a.data, slab), "row_dot_slab", parents, None, True)
+        full = np.empty(live0.shape[:-2] + slab.shape)  # each replica's slot 0 ahead of the shared rest
+        full[...] = slab
+        full[..., 0, :] = live0.data
+        slab = full
 
     def backward(g: np.ndarray) -> None:
         _accumulate(a, np.einsum("bn,bnd->bd", g, slab))
         if live0 is not None:
             _accumulate(live0, g[:, :1] * a.data)
 
-    return _from_op(np.einsum("bd,bnd->bn", a.data, slab), "row_dot_slab", parents, backward)
+    parents = (a,) if live0 is None else (a, live0)
+    return _from_op(np.einsum("...bd,...bnd->...bn", a.data, slab), "row_dot_slab", parents, backward)
 
 
-def _row_name(index: tuple[int, ...], stacked: bool) -> str:
-    return f"replica {index[0]} row {index[1]}" if stacked else f"row {index[0]}"
+def row_norms(x: np.ndarray, where: str, floor: float = NORM_EPS, ids=None) -> np.ndarray:
+    """Norms of x's rows (its last axis, kept): the one row rule of the tape and the key pool.
+
+    np.linalg.norm's sum, bit for bit, without its Python wrapper. A
+    non-finite norm raises ``NonFiniteError`` and one below ``floor``
+    ``DegenerateRowError`` (clamping would hide a collapsed encoder), naming
+    the first such row of ``where``: example ``ids[i]`` if given, else row
+    i, after its replica in a stack.
+    """
+    norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+    # Two bare reductions, cheaper than isfinite().all() and any(): a NaN carries into the minimum and fails.
+    low, high = np.minimum.reduce(norms, axis=None, initial=np.inf), np.maximum.reduce(norms, axis=None, initial=0.0)
+    if low >= floor and high < np.inf:
+        return norms
+    finite = np.isfinite(norms).all()
+    *replica, row, _ = index = np.argwhere(norms < floor if finite else ~np.isfinite(norms))[0]
+    name = " ".join([f"replica {r}" for r in replica] + [f"example {ids[row]}" if ids is not None else f"row {row}"])
+    if not finite:
+        raise NonFiniteError(f"{name} has non-finite norm {norms[tuple(index)]:.3e} in {where}")
+    raise DegenerateRowError(f"{name} has norm {norms[tuple(index)]:.3e} < {floor} in {where}")
 
 
 def row_l2_normalize(a: Tensor) -> Tensor:
-    """Scale each row to unit Euclidean norm.
-
-    A row with norm below ``NORM_EPS`` is a hard error: silently clamping
-    would hide a collapsed feature extractor from every downstream check.
-    """
+    """Scale each row to unit Euclidean norm; ``row_norms`` rejects a row it cannot scale."""
     if a.data.ndim != 2 + a.stacked:
         raise ShapeError(f"row_l2_normalize needs a 2-D operand, got {_item_shape(a)}")
-    norms = np.sqrt(np.add.reduce(a.data * a.data, axis=-1, keepdims=True))  # np.linalg.norm's sum, bit for bit
-    if not np.isfinite(norms).all():
-        index = tuple(np.argwhere(~np.isfinite(norms))[0])
-        raise NonFiniteError(f"{_row_name(index, a.stacked)} norm overflowed in row_l2_normalize")
-    if (norms < NORM_EPS).any():
-        index = np.unravel_index(int(np.argmin(norms)), norms.shape)
-        raise DegenerateRowError(
-            f"{_row_name(index, a.stacked)} has norm {norms[index]:.3e} < {NORM_EPS} in row_l2_normalize"
-        )
+    norms = row_norms(a.data, "row_l2_normalize")
     out = a.data / norms
-    if a.stacked:
-        return _from_op(out, "row_l2_normalize", (a,), None, True)
 
     def backward(g: np.ndarray) -> None:
         # Projection onto the tangent of the unit sphere, scaled by 1/norm.
@@ -354,8 +358,7 @@ def masked_nll(scores: Tensor, mask: np.ndarray, scale: float, inv_tau: float | 
     Stacked scores give one value per replica.
     """
     mask = np.asarray(mask, dtype=np.float64)
-    stacked = scores.stacked
-    if scores.data.ndim != 2 + stacked or mask.shape != scores.shape[stacked:]:
+    if scores.data.ndim != 2 + scores.stacked or mask.shape != _item_shape(scores):
         raise ShapeError(
             f"masked_nll needs 2-D scores and a mask of their shape, got {_item_shape(scores)} and {mask.shape}"
         )
@@ -364,14 +367,11 @@ def masked_nll(scores: Tensor, mask: np.ndarray, scale: float, inv_tau: float | 
     s = scores.data if inv_tau is None else scores.data * inv_tau
     shifted = s - s.max(axis=-1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    _check_finite(logp, "masked_nll", stacked)
-    if stacked:
-        per_replica = (logp * mask).reshape(logp.shape[0], -1).sum(axis=1)
-        return _from_op(per_replica * scale, "masked_nll", (scores,), None, True)
+    _check_finite(logp, "masked_nll", scores.stacked)
 
     def backward(g: np.ndarray) -> None:
         gl = np.full_like(logp, float(g * scale)) * mask
         gs = gl - np.exp(logp) * gl.sum(axis=1, keepdims=True)
         _accumulate(scores, gs if inv_tau is None else gs * inv_tau)
 
-    return _from_op(np.asarray((logp * mask).sum()) * scale, "masked_nll", (scores,), backward)
+    return _from_op(_c_order_sum(logp * mask, scores.stacked) * scale, "masked_nll", (scores,), backward)

@@ -174,8 +174,8 @@ def step(
 
     if contrastive:
         if bank_mode:
-            h_norm = terms.h_norm if terms.h_norm is not None else nd.row_l2_normalize(h_q)
-            pool.update(ids, h_norm.data, z_q.data)
+            h_norm = terms.h_norm.data if terms.h_norm is not None else h_q.data / nd.row_norms(h_q.data, "h")
+            pool.update(ids, h_norm, z_q.data)
         else:
             model_mod.momentum_update(twin, params)
             if not seeding:

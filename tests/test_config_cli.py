@@ -382,6 +382,7 @@ class TestTrainCommand:
         ])
         assert code == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
     def test_numerical_blowup_exit_code(self, tmp_path):
         code = main([
             "train", "--out", str(tmp_path / "o"), *FAST_TRAIN,
@@ -571,7 +572,9 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--instances", "1"]) == 2
         assert "FAIL" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    overflows = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # an infinite gradient overflows on purpose
+
+    @pytest.mark.parametrize("bad", [np.nan, pytest.param(np.inf, marks=overflows), pytest.param(-np.inf, marks=overflows)])
     def test_non_finite_backward_rule_fails_its_case(self, capsys, monkeypatch, bad):
         # Python's max(worst, nan) keeps worst: a NaN error must not read as a pass.
         real_relu = nd.relu

@@ -178,6 +178,7 @@ class TestNonFiniteNamesTheFusedOp:
             with pytest.raises(NonFiniteError, match="produced by linear$"):
                 nd.linear(x, Tensor(np.ones(shape)), Tensor(np.ones(2)), w_rows=w_rows)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
     def test_linear_overflow(self):
         with pytest.raises(NonFiniteError, match="produced by linear$"):
             nd.linear(Tensor([[1e200]]), Tensor([[1e200]]))
@@ -189,6 +190,7 @@ class TestNonFiniteNamesTheFusedOp:
             with pytest.raises(NonFiniteError, match="produced by masked_nll$"):
                 nd.masked_nll(scores, np.ones((2, 3)), -1.0, inv_tau)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
     def test_masked_nll_temperature_overflow(self):
         with pytest.raises(NonFiniteError, match="produced by masked_nll$"):
             nd.masked_nll(Tensor([[1e300, 0.0]]), np.ones((1, 2)), -1.0, 1e10)

@@ -26,6 +26,7 @@ class TestTensorBasics:
         with pytest.raises(NonFiniteError):
             Tensor([float("inf")])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
     def test_op_output_checked(self):
         big = Tensor([[1e308]], grad_enabled=True)
         with pytest.raises(NonFiniteError):

@@ -4,7 +4,12 @@ The stacked difference quotients must be the coordinate loop's
 (``unfused.finite_difference``) bit for bit on every gradcheck case, and
 the explicit ``stacked`` mark must keep every op's shape contract: a
 replica axis is never guessed from rank, and it never reaches backward.
+Each op has one forward for both forms, so a per-op gate draws random
+calls, stacked operands laid out as a gather leaves them, and checks
+every replica of the result against the unstacked op, bit for bit.
 """
+
+import types
 
 import numpy as np
 import pytest
@@ -155,7 +160,7 @@ class TestFailuresNameTheReplica:
     def test_norm_overflow(self):
         replicas = np.ones((3, 2, 2))
         replicas[2, 1] = 1e200
-        with pytest.raises(NonFiniteError, match="^replica 2 row 1 norm overflowed in row_l2_normalize$"):
+        with pytest.raises(NonFiniteError, match="^replica 2 row 1 has non-finite norm inf in row_l2_normalize$"):
             nd.row_l2_normalize(stacked(replicas))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -168,3 +173,84 @@ class TestFailuresNameTheReplica:
         scores[2, 1, 0] = 1e308
         with pytest.raises(NonFiniteError, match="^non-finite value produced by masked_nll in replica 2 row 1$"):
             nd.masked_nll(stacked(scores), np.ones((2, 2)), 1.0, inv_tau=10.0)
+
+
+def gathered(rng, shape) -> np.ndarray:
+    """R random replicas of ``shape`` as a gather leaves them: rows picked with repeats, not C-contiguous."""
+    picks = rng.integers(0, shape[0] + 2, size=shape[0])
+    picks[-1] = picks[0]
+    return rng.normal(size=(R, shape[0] + 2, *shape[1:]))[:, picks]
+
+
+def near_floor(rng, a: np.ndarray) -> np.ndarray:
+    """a, in place, with one random row in each replica scaled to a norm just above NORM_EPS."""
+    lead, row = a.shape[:-2], int(rng.integers(a.shape[-2]))
+    for r in np.ndindex(*lead):
+        v = a[r + (row,)]
+        a[r + (row,)] = v / np.linalg.norm(v) * nd.NORM_EPS * (1.0 + 10.0 ** rng.uniform(-9, 0))
+    return a
+
+
+def op_draw(name, rng):
+    """One random call of the named op: a function of its tensor operands, and their shapes."""
+    b, d, k, n = (int(v) for v in rng.integers(1, 12, size=4))
+    if name == "linear":
+        w_rows, bias = bool(rng.integers(2)), bool(rng.integers(2))
+        shapes = [(b, d), (k, d) if w_rows else (d, k)] + [(k,)] * bias
+        return lambda x, w, *c: nd.linear(x, w, *c, w_rows=w_rows), shapes
+    if name in ("add", "mul"):
+        return getattr(nd, name), [(b, d), (b, d)]
+    if name == "scale_by_scalar":
+        s = float(rng.normal())
+        return lambda a: nd.scale_by_scalar(a, s), [(b, d)]
+    if name in ("relu", "sum", "row_l2_normalize"):
+        return getattr(nd, name), [(b, d)]
+    if name == "select_rows":
+        idx = rng.integers(0, b, size=k + 1)
+        idx[-1] = idx[0]  # at least one duplicate
+        return lambda a: nd.select_rows(a, idx), [(b, d)]
+    if name == "row_dot_slab":
+        slab = rng.normal(size=(b, n, d))
+        if rng.integers(2):
+            return lambda a, live0: nd.row_dot_slab(a, slab, live0=live0), [(b, d), (b, d)]
+        return lambda a: nd.row_dot_slab(a, slab), [(b, d)]
+    if name == "masked_nll":
+        mask, scale = (rng.random((b, n)) < 0.5).astype(float), float(rng.normal())
+        inv_tau = None if rng.integers(2) else float(rng.uniform(1.0, 20.0))
+        return lambda s: nd.masked_nll(s, mask, scale, inv_tau), [(b, n)]
+    raise KeyError(name)
+
+
+OPS = [
+    "linear", "add", "mul", "scale_by_scalar", "relu", "sum",
+    "select_rows", "row_dot_slab", "row_l2_normalize", "masked_nll",
+]
+
+
+@pytest.mark.parametrize("name", OPS)
+def test_each_replica_is_the_unstacked_op_bit_for_bit(name):
+    rng = np.random.default_rng(OPS.index(name))
+    for trial in range(300):
+        op, shapes = op_draw(name, rng)
+        flags = rng.integers(2, size=len(shapes)).astype(bool)
+        flags[rng.integers(len(shapes))] = True  # at least one operand stacked
+        arrays = [gathered(rng, s) if f else rng.normal(size=s) for s, f in zip(shapes, flags)]
+        if name == "row_l2_normalize":
+            arrays = [near_floor(rng, a) for a in arrays]
+        got = op(*(stacked(a) if f else Tensor(a) for a, f in zip(arrays, flags)))
+        assert got.stacked and got.shape[0] == R
+        for r in range(R):
+            want = op(*(Tensor(a[r] if f else a) for a, f in zip(arrays, flags)))
+            np.testing.assert_array_equal(got.data[r], want.data, err_msg=f"trial {trial} replica {r}")
+
+
+def test_every_op_is_gated():
+    public = {n for n, f in vars(nd).items() if isinstance(f, types.FunctionType) and f.__module__ == nd.__name__}
+    assert {n for n in public if not n.startswith("_")} - {"row_norms"} == set(OPS)
+
+
+@pytest.mark.parametrize("make", [lambda a: Tensor(a), lambda a: stacked(np.stack([a, -a]))])
+def test_select_rows_never_shares_its_operand_memory(make):
+    a = make(np.arange(12.0).reshape(4, 3))
+    out = nd.select_rows(a, [1, 1, 3])
+    assert not np.shares_memory(out.data, a.data)

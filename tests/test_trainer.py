@@ -224,6 +224,8 @@ class TestStep:
             # linear, relu, linear, logits and projector linear, z's row_l2_normalize; masked_nll (ce); h's
             # row_l2_normalize, select_rows, row_dot_slab, masked_nll (cce); row_dot_slab, masked_nll (ccl); add, add
             (dict(keys__generator="membank"), 15),
+            # The same without cce: the bank update scales h by the plain row rule, off the tape.
+            (dict(keys__generator="membank", losses__cce=0.0), 10),
         ],
     )
     def test_tape_nodes_per_step(self, monkeypatch, over, most):
@@ -418,10 +420,10 @@ class TestStep:
 
         cfg = small_cfg(keys__generator="membank", losses__cce=cce_weight)
         _, params, twin, pool, opt, batch = self.setup_run(cfg)
-        real, inputs = nd.row_l2_normalize, []
-        monkeypatch.setattr(nd, "row_l2_normalize", lambda t: inputs.append(t) or real(t))
+        real, widths = nd.row_norms, []
+        monkeypatch.setattr(nd, "row_norms", lambda x, *rest, **kw: widths.append(x.shape[-1]) or real(x, *rest, **kw))
         step(params, twin, pool, batch, opt, cfg, np.random.default_rng(5))
-        assert len(inputs) == 2
+        assert sorted(widths) == sorted([cfg.model.feature_dim, cfg.model.projector_dim])
 
 
 class TestWarmup:
