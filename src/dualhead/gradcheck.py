@@ -1,9 +1,10 @@
 """Finite-difference verification of every op and loss gradient.
 
 The oracle is central differences with eps = 1e-6 on float64 values,
-compared coordinate by coordinate against the backward pass. A leaf's
-2n perturbed copies run as one stacked forward (``ndgrad``'s replica
-axis), so each leaf costs one forward, not 2n. The
+compared coordinate by coordinate against the backward pass. Every
+perturbed copy of every leaf of an instance runs in one stacked forward
+(``ndgrad``'s replica axis), so an instance costs two forwards, one for
+backward and one for all its quotients, whatever its leaf count. The
 comparison is relative above a small magnitude floor and absolute below
 it (FD noise for a loss of size f is about f * 1e-10 at this eps, so
 near-zero true gradients would otherwise drown in cancellation noise).
@@ -52,32 +53,38 @@ def analytic_gradients(forward: Callable[[], Tensor], wrt: Sequence[Tensor]) -> 
     return grads
 
 
-def finite_difference(forward: Callable[[], Tensor], t: Tensor, eps: float = EPS) -> np.ndarray:
-    """Central-difference gradient of forward() w.r.t. one leaf tensor, from one stacked forward.
+def finite_difference(forward: Callable[[], Tensor], leaves: Sequence[Tensor], eps: float = EPS) -> list[np.ndarray]:
+    """Central-difference gradients of forward() w.r.t. each leaf, all from one stacked forward.
 
-    The leaf's n coordinates become 2n replicas of it on ``ndgrad``'s
-    replica axis: replica 2j has coordinate j raised by eps, replica 2j+1
-    has it lowered by eps. One forward() then gives all 2n values, and the
-    leaf gets its own data back. A forward that never reads the leaf
-    returns an unstacked value, and its difference quotient is 0.
+    The leaves' n coordinates, taken in ``leaves`` order, become 2n
+    replicas on ``ndgrad``'s replica axis: replica 2k has coordinate k
+    raised by eps and replica 2k+1 has it lowered, so each leaf's
+    perturbations form one block, and every other leaf holds its own value
+    there. One forward() then gives all 2n values, and every leaf gets its
+    own data back. A leaf the forward never reads sees one value across
+    its block, so its quotients are 0.
     """
-    data = t.data
-    n = data.size
-    flat = data.reshape(-1)
+    datas = [t.data for t in leaves]
+    flat = np.concatenate([data.reshape(-1) for data in datas])
+    n = flat.size
     replicas = np.repeat(flat[None], 2 * n, axis=0)
-    j = np.arange(n)
-    replicas[2 * j, j] = flat + eps
-    replicas[2 * j + 1, j] = flat - eps
-    t.data, t.stacked = replicas.reshape((2 * n, *data.shape)), True
+    k = np.arange(n)
+    replicas[2 * k, k] = flat + eps
+    replicas[2 * k + 1, k] = flat - eps
+    bounds = np.cumsum([0] + [data.size for data in datas])
     try:
+        for t, data, lo, hi in zip(leaves, datas, bounds, bounds[1:]):
+            t.data, t.stacked = np.ascontiguousarray(replicas[:, lo:hi]).reshape((2 * n, *data.shape)), True
         f = forward()
     finally:
-        t.data, t.stacked = data, False
+        for t, data in zip(leaves, datas):
+            t.data, t.stacked = data, False
     if not f.stacked:
-        return np.zeros_like(data)
+        return [np.zeros_like(data) for data in datas]
     if f.shape != (2 * n,):
         raise nd.ShapeError(f"finite differences need a scalar forward, got {f.shape[1:]} per replica")
-    return ((f.data[0::2] - f.data[1::2]) / (2.0 * eps)).reshape(data.shape)
+    quotients = (f.data[0::2] - f.data[1::2]) / (2.0 * eps)
+    return [q.reshape(data.shape) for q, data in zip(np.split(quotients, bounds[1:-1]), datas)]
 
 
 def worst_relative_error(
@@ -86,11 +93,12 @@ def worst_relative_error(
     eps: float = EPS,
     floor: float = REL_FLOOR,
 ) -> float:
-    """Max disagreement between backward and central differences; NaN if either is not finite."""
-    analytic = analytic_gradients(forward, wrt)
+    """Max disagreement between backward and central differences; NaN if either is not finite.
+
+    Two forwards whatever the number of leaves: one for backward, one stacked for every quotient.
+    """
     worst = 0.0
-    for t, ana in zip(wrt, analytic):
-        num = finite_difference(forward, t, eps)
+    for ana, num in zip(analytic_gradients(forward, wrt), finite_difference(forward, wrt, eps)):
         err = np.abs(ana - num) / np.maximum(np.maximum(np.abs(ana), np.abs(num)), floor)
         worst = np.maximum(worst, err.max())  # np.maximum, unlike max, propagates NaN
     return float(worst)

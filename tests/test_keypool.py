@@ -364,8 +364,9 @@ class TestUnitNormChecks:
         ids = np.array([2, 4])
         h_new = -bank.h_snap[ids] if opposite == "h" else bank.h_snap[ids]
         z_new = -bank.z_snap[ids] if opposite == "z" else bank.z_snap[ids]
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError, match=f"^example 2 has norm 0.000e\\+00 < 1e-12 in {opposite}_snapshot$"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # checked before any division
+            with pytest.raises(DegenerateRowError, match=f"^example 2 has norm 0.000e\\+00 < 1e-12 in {opposite}_snapshot$"):
                 bank.update(ids, h_new, z_new)
         np.testing.assert_array_equal(bank.h_snap, before[0])
         np.testing.assert_array_equal(bank.z_snap, before[1])

@@ -1,6 +1,7 @@
-"""ndgrad's replica axis: finite differences from one stacked forward per leaf.
+"""ndgrad's replica axis: finite differences from one stacked forward per instance.
 
-The stacked difference quotients must be the coordinate loop's
+Every leaf's difference quotients, all from one stacked forward over the
+instance's leaves, must be the coordinate loop's
 (``unfused.finite_difference``) bit for bit on every gradcheck case, and
 the explicit ``stacked`` mark must keep every op's shape contract: a
 replica axis is never guessed from rank, and it never reaches backward.
@@ -14,9 +15,10 @@ import types
 import numpy as np
 import pytest
 
+import dualhead.gradcheck as gradcheck_mod
 import dualhead.ndgrad as nd
 import unfused
-from dualhead.gradcheck import LOSS_CASES, OP_CASES, finite_difference
+from dualhead.gradcheck import LOSS_CASES, OP_CASES, finite_difference, run_gradcheck, worst_relative_error
 from dualhead.ndgrad import DegenerateRowError, NonFiniteError, ShapeError, Tensor
 
 CASES = {**OP_CASES, **LOSS_CASES}
@@ -33,12 +35,13 @@ def stacked(replicas) -> Tensor:
 def test_stacked_differences_are_the_loop_bit_for_bit(name):
     for seed in range(20):
         forward, wrt = CASES[name](np.random.default_rng(seed))
-        for i, t in enumerate(wrt):
-            before = t.data.copy()
-            got = finite_difference(forward, t)
-            np.testing.assert_array_equal(t.data, before)
+        before = [t.data.copy() for t in wrt]
+        got = finite_difference(forward, wrt)
+        assert len(got) == len(wrt)
+        for i, (t, data, q) in enumerate(zip(wrt, before, got)):
+            np.testing.assert_array_equal(t.data, data)
             assert not t.stacked
-            np.testing.assert_array_equal(got, unfused.finite_difference(forward, t), err_msg=f"seed {seed} leaf {i}")
+            np.testing.assert_array_equal(q, unfused.finite_difference(forward, t), err_msg=f"seed {seed} leaf {i}")
 
 
 def test_a_leaf_the_forward_never_reads_gets_zero():
@@ -52,18 +55,54 @@ def test_a_leaf_the_forward_never_reads_gets_zero():
     def forward():
         return nd.sum(nd.mul(nd.linear(x, w, None, w_rows=True), r))
 
-    got = finite_difference(forward, b)
-    np.testing.assert_array_equal(got, np.zeros(2))
-    np.testing.assert_array_equal(got, unfused.finite_difference(forward, b))
+    got = finite_difference(forward, [x, b, w])  # the unread leaf's block sits between two read ones
+    np.testing.assert_array_equal(got[1], np.zeros(2))
+    assert not np.signbit(got[1]).any()
+    for t, q in zip([x, b, w], got):
+        np.testing.assert_array_equal(q, unfused.finite_difference(forward, t))
+    # With no leaf read the forward is not stacked at all.
+    np.testing.assert_array_equal(finite_difference(forward, [b])[0], np.zeros(2))
 
 
 def test_parameter_views_keep_their_storage():
-    # Model parameters are views into one vector; the leaf must get that same view back.
+    # Model parameters are views into one vector; every leaf must get that same view back.
     forward, wrt = LOSS_CASES["joint_total"](np.random.default_rng(3))
     views = [t.data for t in wrt]
-    for t in wrt:
-        finite_difference(forward, t)
+    finite_difference(forward, wrt)
     assert all(t.data is v for t, v in zip(wrt, views))
+
+
+def test_a_forward_that_raises_gives_every_leaf_its_data_back():
+    # a's block starts after b's 6 coordinates; lowering a[0, 0] by eps (replica 12 + 1) zeroes a's row 0.
+    b = Tensor(np.arange(1.0, 7.0).reshape(2, 3), grad_enabled=True)
+    a = Tensor([[1e-6, 0.0, 0.0], [1.0, 2.0, 3.0]], grad_enabled=True)
+    c = Tensor([0.5, -0.5], grad_enabled=True)
+    leaves = [b, a, c]
+    views = [t.data for t in leaves]
+    with pytest.raises(DegenerateRowError, match="^replica 13 row 0 "):
+        finite_difference(lambda: nd.add(nd.sum(nd.mul(b, nd.row_l2_normalize(a))), nd.sum(c)), leaves)
+    assert all(t.data is v and not t.stacked for t, v in zip(leaves, views))
+
+
+def test_the_report_is_the_coordinate_loop_s_line_for_line(monkeypatch):
+    # The whole printed report, with the coordinate loop as the finite-difference oracle.
+    with monkeypatch.context() as m:
+        m.setattr(gradcheck_mod, "worst_relative_error", unfused.worst_relative_error)
+        want = run_gradcheck(3, 7).lines()
+    assert run_gradcheck(3, 7).lines() == want
+
+
+def test_worst_relative_error_runs_two_forwards_whatever_the_leaf_count():
+    for name in ("sum", "linear", "joint_total"):
+        forward, wrt = CASES[name](np.random.default_rng(0))
+        calls = []
+
+        def spy(forward=forward):
+            calls.append(None)
+            return forward()
+
+        assert worst_relative_error(spy, wrt) <= 1e-4
+        assert len(calls) == 2, f"{name}: {len(wrt)} leaves, {len(calls)} forwards"
 
 
 class TestTheMarkIsExplicit:
@@ -151,7 +190,7 @@ class TestFailuresNameTheReplica:
         a = Tensor([[1e-6, 0.0, 0.0], [1.0, 2.0, 3.0]], grad_enabled=True)
         message = "row 0 has norm 0.000e\\+00 < 1e-12 in row_l2_normalize$"
         with pytest.raises(DegenerateRowError, match="^replica 1 " + message):
-            finite_difference(lambda: nd.sum(nd.row_l2_normalize(a)), a)
+            finite_difference(lambda: nd.sum(nd.row_l2_normalize(a)), [a])
         assert not a.stacked
         with pytest.raises(DegenerateRowError, match="^" + message):
             unfused.finite_difference(lambda: nd.sum(nd.row_l2_normalize(a)), a)

@@ -12,11 +12,13 @@ monkeypatch them into ``dualhead.ndgrad`` and compare bit for bit.
 built for a live slot 0; it rounds differently from the fused form, so
 tests compare the two to 1e-12, not bitwise.
 
-``finite_difference`` is gradcheck's coordinate loop, two forwards per
-coordinate with the leaf perturbed in place; the stacked form must
-match it bit for bit. ``worst_relative_error`` runs gradcheck's
-comparison over that loop, for forwards built on the 2-D-only chains
-above, which cannot take a replica axis.
+``finite_difference`` is gradcheck's coordinate loop for one leaf, two
+forwards per coordinate with the leaf perturbed in place; each leaf's
+quotients from gradcheck's one stacked forward over all of an
+instance's leaves must match it bit for bit. ``worst_relative_error``
+runs gradcheck's comparison over that loop, leaf by leaf, for forwards
+built on the 2-D-only chains above, which cannot take a replica axis,
+and as the oracle of gradcheck's whole report.
 
 The key pools' earlier forms are kept the same way: ``RingQueues``, the
 per-class ring buffers with a head slot and modular slot arithmetic;
