@@ -79,6 +79,11 @@ class LossesConfig:
     def weights(self) -> tuple[float, float, float]:
         return (self.ce, self.cce, self.ccl)
 
+    @property
+    def contrastive(self) -> bool:
+        """Whether cce or ccl is on, and so whether a step needs keys."""
+        return self.cce != 0.0 or self.ccl != 0.0
+
 
 @dataclass
 class OptimizerConfig:

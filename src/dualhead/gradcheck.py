@@ -194,7 +194,7 @@ def _masked_nll_case(tau: bool):
     """masked_nll as ce runs it, or with the 1/tau scale first as info_nce, cce and ccl do; a scalar already."""
 
     def build(rng):
-        inv_tau = float(rng.uniform(0.5, 3.0)) if tau else None
+        inv_tau = float(rng.uniform(0.5, 3.0)) if tau else 1.0
         a = Tensor(rng.normal(size=(3, 4)), grad_enabled=True)
         mask = rng.integers(0, 3, size=(3, 4)).astype(float)  # multiplicities, as cce's literal variant weights
         scale = float(rng.normal())

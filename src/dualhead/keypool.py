@@ -10,16 +10,20 @@ holding its keys as per-class segments of one row store:
   re-normalized to the unit sphere after every update; its example ids,
   stably sorted by class, are the segments.
 
-``sample`` takes the batch's own query keys and returns one ``KeyBatch``
-for the whole batch, whose slot 0 is each query's own key, so every
-softmax bank has K+1 rows and no query's positive set is ever empty.
-Draws are uniform with replacement (early buffers can hold fewer entries
-than requested), balanced per class, and fully determined by the
-caller's generator: the keys drawn, and the generator's state after, are
-exactly those of one ``rng.integers(0, n_c, size=k)`` call per (query,
-non-empty class c), queries in batch order and classes ascending, each
-pick shifted by its class's segment start. Unit norm is checked once per
-enqueued, installed, mixed-in or gathered block, and every norm here is
+Both share one signature, ``sample(keys_per_class, h_query, z_query,
+labels, rng)``: it takes the batch's own query keys and returns one
+``KeyBatch`` for the whole batch, whose slot 0 is each query's own key, so
+every softmax bank has K+1 rows and no query's positive set is ever empty.
+A pool is empty while ``len(pool) == 0``, and sampling it then raises
+``EmptyPoolError``. Draws are uniform with replacement (early buffers can
+hold fewer entries than requested), balanced per class, and fully
+determined by the caller's generator: the keys drawn, and the generator's
+state after, are exactly those of one ``rng.integers(0, n_c, size=k)``
+call per (query, non-empty class c), queries in batch order and classes
+ascending, each pick shifted by its class's segment start. A bank built
+with ``uniform=True`` draws as many keys from all its snapshots as one
+segment, one call per query. Unit norm is checked once per enqueued,
+installed, mixed-in or gathered block, and every norm here is
 ``ndgrad.row_norms``: a non-finite norm raises ``NonFiniteError`` and a
 norm under its floor ``DegenerateRowError``, both naming the row (the
 example id in the bank).
@@ -168,15 +172,16 @@ class MocoQueues:
 
 
 class MemoryBank:
-    """Per-example key snapshots, momentum-mixed and re-normalized on update."""
+    """Per-example key snapshots, momentum-mixed and re-normalized on update; ``uniform`` fixes the draw rule."""
 
-    def __init__(self, labels: np.ndarray, m_bank: float = 0.5):
+    def __init__(self, labels: np.ndarray, m_bank: float = 0.5, uniform: bool = False):
         if not 0.0 <= m_bank <= 1.0:
             raise ValueError(f"bank momentum must be in [0, 1], got {m_bank}")
         self.labels = np.asarray(labels, dtype=np.int64).copy()
         if self.labels.ndim != 1 or self.labels.size == 0:
             raise ValueError("labels must be a nonempty 1-D array")
         self.m_bank = float(m_bank)
+        self.uniform = bool(uniform)
         self.h_snap: np.ndarray | None = None
         self.z_snap: np.ndarray | None = None
         self._by_class = np.argsort(self.labels, kind="stable")  # present class j: _sizes[j] ids from _starts[j]
@@ -185,12 +190,8 @@ class MemoryBank:
     def __len__(self) -> int:
         return 0 if self.h_snap is None else int(self.labels.shape[0])
 
-    @property
-    def initialized(self) -> bool:
-        return self.h_snap is not None
-
     def _ids(self, ids) -> np.ndarray:
-        if not self.initialized:
+        if len(self) == 0:
             raise EmptyPoolError("memory bank has no snapshots; warm it up first")
         idx = np.asarray(ids, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.labels.shape[0]):
@@ -224,21 +225,14 @@ class MemoryBank:
         _check_unit(h_snapshot=h, z_snapshot=z)
         self.h_snap[idx], self.z_snap[idx] = h, z
 
-    def sample(
-        self, count_per_class: int, h_query, z_query, labels, rng: np.random.Generator, uniform: bool = False
-    ) -> KeyBatch:
-        """Same contract as MocoQueues.sample, drawing from the snapshots.
-
-        ``uniform=True`` switches from balanced per-class draws to global
-        uniform draws over all snapshots, the stream of one call per query
-        (same batch size either way): all ids form one segment.
-        """
-        if count_per_class < 1:
-            raise ValueError("count_per_class must be >= 1")
-        if not self.initialized:
+    def sample(self, keys_per_class: int, h_query, z_query, labels, rng: np.random.Generator) -> KeyBatch:
+        """Same contract as MocoQueues.sample, drawn from the snapshots by the bank's own rule."""
+        if keys_per_class < 1:
+            raise ValueError("keys_per_class must be >= 1")
+        if len(self) == 0:
             raise EmptyPoolError("memory bank has no snapshots; warm it up first")
-        if uniform:
-            idx = _segment_rows(rng, len(labels), [0], [self.labels.shape[0]], count_per_class * self._sizes.shape[0])
+        if self.uniform:
+            idx = _segment_rows(rng, len(labels), [0], [self.labels.shape[0]], keys_per_class * self._sizes.shape[0])
         else:
-            idx = self._by_class[_segment_rows(rng, len(labels), self._starts, self._sizes, count_per_class)]
+            idx = self._by_class[_segment_rows(rng, len(labels), self._starts, self._sizes, keys_per_class)]
         return _with_queries((h_query, z_query, labels), self.h_snap[idx], self.z_snap[idx], self.labels[idx])

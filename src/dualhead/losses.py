@@ -26,8 +26,8 @@ softmax followed by negative log-probabilities of designated positives.
 Batch reduction is a plain sum by default; "mean" divides every term by
 the batch size so the three terms stay mutually comparable either way.
 Each term ends in one ``ndgrad.masked_nll`` node over its raw scores:
-the 1/tau scale, the row log-softmax, the mask, the sum and one scale of
-that sum, by -1 or by -1/B.
+the 1/tau scale (1.0 for ``ce``), the row log-softmax, the mask, the sum
+and one scale of that sum, by -1 or by -1/B.
 Shapes are read from the trailing axes, so a stacked feature, projection
 or prototype matrix (``ndgrad``'s replica axis) gives one loss per
 replica.
@@ -90,7 +90,7 @@ def _check_labels(labels: np.ndarray, class_count: int) -> np.ndarray:
     return labels
 
 
-def _masked_nll(scores: Tensor, mask: np.ndarray, reduction: str = "sum", inv_tau: float | None = None) -> Tensor:
+def _masked_nll(scores: Tensor, mask: np.ndarray, reduction: str = "sum", inv_tau: float = 1.0) -> Tensor:
     """-sum(log_softmax_row(scores * inv_tau) * mask), divided by the batch size under "mean": one node."""
     if reduction not in REDUCTIONS:
         raise ValueError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")

@@ -350,7 +350,7 @@ def row_l2_normalize(a: Tensor) -> Tensor:
     return _from_op(out, "row_l2_normalize", (a,), backward)
 
 
-def masked_nll(scores: Tensor, mask: np.ndarray, scale: float, inv_tau: float | None = None) -> Tensor:
+def masked_nll(scores: Tensor, mask: np.ndarray, scale: float, inv_tau: float = 1.0) -> Tensor:
     """scale * sum(log_softmax_row(scores * inv_tau) * mask) as one node, the row max shifted out.
 
     Forward and backward repeat, step for step, the arithmetic of the
@@ -364,7 +364,7 @@ def masked_nll(scores: Tensor, mask: np.ndarray, scale: float, inv_tau: float | 
         )
     _check_finite(mask, "masked_nll mask")
     scale = float(scale)
-    s = scores.data if inv_tau is None else scores.data * inv_tau
+    s = scores.data * inv_tau  # exact at the default 1.0, which ce runs
     shifted = s - s.max(axis=-1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     _check_finite(logp, "masked_nll", scores.stacked)
@@ -372,6 +372,6 @@ def masked_nll(scores: Tensor, mask: np.ndarray, scale: float, inv_tau: float | 
     def backward(g: np.ndarray) -> None:
         gl = np.full_like(logp, float(g * scale)) * mask
         gs = gl - np.exp(logp) * gl.sum(axis=1, keepdims=True)
-        _accumulate(scores, gs if inv_tau is None else gs * inv_tau)
+        _accumulate(scores, gs * inv_tau)
 
     return _from_op(_c_order_sum(logp * mask, scores.stacked) * scale, "masked_nll", (scores,), backward)

@@ -4,7 +4,8 @@ One training step runs a fixed pipeline:
 
 1. live forward pass (features, projection, logits);
 2. key forward pass for the same batch through the momentum twin;
-3. one batched key draw for all queries, slot 0 = each query's own key;
+3. one ``pool.sample`` call for all queries, slot 0 = each query's own
+   keys (its bank snapshot, or its twin keys from stage 2);
 4. ``losses.objective`` (the enabled terms and their total), backward,
    SGD-with-momentum update of the one parameter vector (weight decay
    folded into the gradient, boosted learning rate for the heads);
@@ -150,8 +151,7 @@ def step(
 ) -> losses_mod.LossTerms:
     """One optimization step over (features, labels, training row numbers)."""
     x_np, y, ids = batch
-    _, w_cce, w_ccl = cfg.losses.weights()
-    contrastive = w_cce != 0.0 or w_ccl != 0.0
+    contrastive = cfg.losses.contrastive
     bank_mode = isinstance(pool, MemoryBank)
 
     x = Tensor(x_np)
@@ -159,14 +159,11 @@ def step(
 
     keys = None
     if contrastive:
-        if bank_mode:
-            keys = pool.sample(cfg.keys.keys_per_class, *pool.entry(ids), rng, uniform=cfg.keys.bank_uniform)
-        else:
-            h_k, z_k = model_mod.forward_key(twin, x)
-            seeding = len(pool) == 0 and cfg.keys.warmup_mode == "defer"
-            if seeding:  # a deferred warm-up: this batch's keys are the pool's first
-                pool.enqueue(h_k, z_k, y)
-            keys = pool.sample(cfg.keys.keys_per_class, h_k, z_k, y, rng)
+        own = pool.entry(ids) if bank_mode else (*model_mod.forward_key(twin, x), y)  # each query's slot-0 keys
+        seeding = len(pool) == 0 and cfg.keys.warmup_mode == "defer"  # an empty bank has already raised in entry
+        if seeding:  # a deferred warm-up: this batch's keys are the pool's first
+            pool.enqueue(*own)
+        keys = pool.sample(cfg.keys.keys_per_class, *own, rng)
 
     terms = losses_mod.objective(h_q, z_q, logits, y, params.classifier_W, keys, cfg.losses)
     terms.total.backward()
@@ -179,7 +176,7 @@ def step(
         else:
             model_mod.momentum_update(twin, params)
             if not seeding:
-                pool.enqueue(h_k, z_k, y)
+                pool.enqueue(*own)
     return terms
 
 
@@ -279,13 +276,11 @@ def fit(cfg: RunConfig) -> TrainRun:
     params = model_mod.init_params(dims, np.random.default_rng(streams["init"]), classifier_bias=cfg.model.classifier_bias)
     twin = model_mod.init_twin(params, cfg.keys.momentum)
     if cfg.keys.generator == "membank":
-        pool: MocoQueues | MemoryBank = MemoryBank(train.labels, m_bank=cfg.keys.bank_momentum)
+        pool: MocoQueues | MemoryBank = MemoryBank(train.labels, cfg.keys.bank_momentum, cfg.keys.bank_uniform)
     else:
         pool = MocoQueues(train.class_count, cfg.keys.queue_size)
 
-    _, w_cce, w_ccl = cfg.losses.weights()
-    contrastive = w_cce != 0.0 or w_ccl != 0.0
-    if contrastive and (cfg.keys.warmup_mode == "prefill" or isinstance(pool, MemoryBank)):
+    if cfg.losses.contrastive and (cfg.keys.warmup_mode == "prefill" or isinstance(pool, MemoryBank)):
         warmup(twin, pool, train)  # the bank twin never moves, so a deferred bank warm-up is this one
 
     opt = init_optimizer(params, cfg)

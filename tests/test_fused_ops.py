@@ -60,7 +60,7 @@ def test_linear_is_bitwise_the_matmul_chain(w_rows, bias):
 @pytest.mark.parametrize("reduction", REDUCTIONS)
 @pytest.mark.parametrize("tau", [None, 0.07])
 def test_masked_nll_is_bitwise_the_log_softmax_chain(tau, reduction):
-    inv_tau = None if tau is None else 1.0 / tau
+    inv_tau = 1.0 if tau is None else 1.0 / tau
     for seed in range(40):
         rng = np.random.default_rng(seed)
         b, n = (int(v) for v in rng.integers(1, 9, size=2))
@@ -186,7 +186,7 @@ class TestNonFiniteNamesTheFusedOp:
     def test_masked_nll(self):
         scores = Tensor(np.zeros((2, 3)), grad_enabled=True)
         scores.data[0, 1] = np.nan
-        for inv_tau in (None, 10.0):
+        for inv_tau in (1.0, 10.0):
             with pytest.raises(NonFiniteError, match="produced by masked_nll$"):
                 nd.masked_nll(scores, np.ones((2, 3)), -1.0, inv_tau)
 

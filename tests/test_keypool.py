@@ -1,5 +1,6 @@
 """Queue and memory-bank behavior: routing, eviction, sampling, mixing."""
 
+import inspect
 import warnings
 
 import numpy as np
@@ -204,9 +205,9 @@ def test_draw_is_the_per_query_per_class_stream():
 
 
 class TestMemoryBank:
-    def make_bank(self, n=6, d=3, L=2, m=0.5):
+    def make_bank(self, n=6, d=3, L=2, m=0.5, uniform=False):
         labels = np.arange(n) % 3
-        bank = MemoryBank(labels, m_bank=m)
+        bank = MemoryBank(labels, m_bank=m, uniform=uniform)
         rng = np.random.default_rng(0)
         h = rng.normal(size=(n, d))
         z = rng.normal(size=(n, L))
@@ -283,10 +284,10 @@ class TestMemoryBank:
         # Balanced: the stream of one call per (query, class), classes
         # ascending. Uniform: of one call per query over every snapshot.
         # Either way the generator must end in the replay's state.
-        bank = self.make_bank(n=12)
+        bank = self.make_bank(n=12, uniform=uniform)
         queries = rows([entry(c, seed=60 + c) for c in (2, 0, 1, 1)])
         bank_rng = np.random.default_rng(13)
-        batch = bank.sample(2, *queries, rng=bank_rng, uniform=uniform)
+        batch = bank.sample(2, *queries, rng=bank_rng)
         rng = np.random.default_rng(13)
         for i in range(4):
             if uniform:
@@ -305,8 +306,8 @@ class TestMemoryBank:
         np.testing.assert_array_equal(counts, [4, 4, 4])
 
     def test_uniform_mode_keeps_size(self):
-        bank = self.make_bank(n=12)
-        batch = bank.sample(4, *rows([entry(0, seed=2)]), rng=np.random.default_rng(5), uniform=True)
+        bank = self.make_bank(n=12, uniform=True)
+        batch = bank.sample(4, *rows([entry(0, seed=2)]), rng=np.random.default_rng(5))
         assert batch.size == 12  # 4 per class x 3 classes, drawn globally
 
 
@@ -336,7 +337,7 @@ class TestUnitNormChecks:
             warnings.simplefilter("error")  # checked before any division
             with pytest.raises(DegenerateRowError, match=message):
                 bank.initialize(h, np.eye(3)[:, :2] + 0.5)
-        assert not bank.initialized
+        assert len(bank) == 0
 
     @pytest.mark.parametrize("value, shown", [(np.inf, "inf"), (np.nan, "nan")])
     def test_initialize_rejects_a_non_finite_row(self, value, shown):
@@ -347,7 +348,7 @@ class TestUnitNormChecks:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError, match=f"^example 2 has non-finite norm {shown} in z_snapshot$"):
                 bank.initialize(np.eye(3)[:, :2] + 0.5, z)
-        assert not bank.initialized
+        assert len(bank) == 0
 
     def test_update_rejects_a_non_unit_row(self):
         bank = TestMemoryBank().make_bank()
@@ -421,6 +422,9 @@ class TestContractParity:
             assert batch.labels[0, 0] == 1
             assert isinstance(batch.h_keys, np.ndarray) and isinstance(batch.z_keys, np.ndarray)
             np.testing.assert_allclose(np.linalg.norm(batch.h_keys, axis=2), 1.0, atol=1e-9)
+
+    def test_one_sample_signature(self):
+        assert inspect.signature(MocoQueues.sample) == inspect.signature(MemoryBank.sample)
 
 
 def wide_rows(rng):
@@ -521,10 +525,10 @@ class TestSegmentsMatchTheEarlierForms:
         for case in range(150):
             n = int(meta.integers(1, 30))
             labels = meta.choice(meta.integers(0, 5, size=1 if case % 4 == 0 else 3), size=n)
-            bank = MemoryBank(labels, m_bank=0.5)
+            bank = MemoryBank(labels, m_bank=0.5, uniform=uniform)
             bank.initialize(meta.normal(size=(n, 3)), meta.normal(size=(n, 2)))
             queries, k = random_keys(meta, int(meta.integers(1, 6)), 3, 2, 5), int(meta.integers(1, 4))
             got_rng, want_rng = twin_generators(meta)
-            got = bank.sample(k, *queries, got_rng, uniform=uniform)
+            got = bank.sample(k, *queries, got_rng)
             assert_same_batch(got, per_class_bank_sample(bank, k, *queries, want_rng, uniform=uniform))
             assert got_rng.bit_generator.state == want_rng.bit_generator.state, case

@@ -255,7 +255,7 @@ def op_draw(name, rng):
         return lambda a: nd.row_dot_slab(a, slab), [(b, d)]
     if name == "masked_nll":
         mask, scale = (rng.random((b, n)) < 0.5).astype(float), float(rng.normal())
-        inv_tau = None if rng.integers(2) else float(rng.uniform(1.0, 20.0))
+        inv_tau = 1.0 if rng.integers(2) else float(rng.uniform(1.0, 20.0))
         return lambda s: nd.masked_nll(s, mask, scale, inv_tau), [(b, n)]
     raise KeyError(name)
 

@@ -183,7 +183,7 @@ class TestStep:
         params = init_params(dims, np.random.default_rng(s_init))
         twin = init_twin(params, cfg.keys.momentum)
         if cfg.keys.generator == "membank":
-            pool = MemoryBank(train.labels, m_bank=cfg.keys.bank_momentum)
+            pool = MemoryBank(train.labels, cfg.keys.bank_momentum, cfg.keys.bank_uniform)
         else:
             pool = MocoQueues(train.class_count, cfg.keys.queue_size)
         if warm:
@@ -263,6 +263,29 @@ class TestStep:
             else:
                 assert (params.flat[span] != before[span]).all(), name
                 assert opt.velocity[span].all(), name
+
+    @pytest.mark.parametrize(
+        "over, draws",
+        [
+            (dict(), 1),  # moco, prefilled queues
+            (dict(keys__warmup_mode="defer"), 1),  # moco, the first step seeding the empty queues
+            (dict(keys__generator="membank"), 1),
+            (dict(keys__generator="membank", keys__bank_uniform=True), 1),
+            (dict(losses__cce=0.0, losses__ccl=0.0), 0),
+        ],
+    )
+    def test_one_key_draw_per_contrastive_step(self, monkeypatch, over, draws):
+        # One sample call form for both pools: five positional arguments, the draw rule the pool's own.
+        cfg = small_cfg(**over)
+        warm = cfg.losses.contrastive and (cfg.keys.warmup_mode == "prefill" or cfg.keys.generator == "membank")
+        _, params, twin, pool, opt, batch = self.setup_run(cfg, warm=warm)
+        real, calls = pool.sample, []
+        monkeypatch.setattr(pool, "sample", lambda *args: calls.append(args) or real(*args))
+        rng = np.random.default_rng(0)
+        for n in range(1, 4):
+            step(params, twin, pool, batch, opt, cfg, rng)
+            assert len(calls) == draws * n
+        assert all(args[0] == cfg.keys.keys_per_class and args[4] is rng for args in calls)
 
     def test_empty_pool_with_contrastive_terms(self):
         cfg = small_cfg()
@@ -573,7 +596,7 @@ class TestFit:
     def test_membank_fit_runs(self):
         run = fit(small_cfg(iterations=25, keys__generator="membank"))
         assert run.final_val_acc >= 0.0
-        assert run.pool.initialized
+        assert len(run.pool) > 0
 
     def test_csv_lines_format(self):
         # log_every=10, eval_every=100, 10 iterations: rows at 0 and 10 only.
