@@ -2,10 +2,12 @@
 
 Every command is deterministic given (config, seed); result CSVs are
 written by a single writer in a fixed order so repeat runs are
-byte-identical. ``ablate`` and ``sweep`` run their fits one after another
-on the calling thread; ``--jobs`` must be at least 1 and selects no code
-path. Exit codes: 0 success, 1 validation error, 2 numerical failure,
-3 I/O error.
+byte-identical. ``ablate`` and ``sweep`` run on the calling thread, and
+their fits that share a shape (configs that differ only in seed and loss
+weights) train together as one group on one tape, each exactly as it
+would alone; ``--jobs`` must be at least 1 and selects no code path.
+Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O
+error.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import gradcheck as gradcheck_mod
 from . import model as model_mod
 from . import trainer as trainer_mod
 from .config import ConfigError, RunConfig, apply_overrides, config_hash, load_config, serialize_config, validate_config
-from .ndgrad import DegenerateRowError, NonFiniteError, ShapeError
+from .ndgrad import DegenerateRowError, NonFiniteError, ReplicaMismatch, ShapeError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -42,7 +44,7 @@ ABLATION_COMBOS: tuple[tuple[float, float, float], ...] = (
 
 JOBS_HELP = (
     "kept so existing command lines still run; must be >= 1 and selects no code path:"
-    " fits run in order on one thread, since each holds the GIL"
+    " fits run on one thread, since each holds the GIL, and fits that share a shape train together"
 )
 
 # Sweep axis -> its config section; values parse as ``--set section.axis=value`` does.
@@ -123,13 +125,46 @@ def _check_jobs(jobs: int) -> None:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
 
 
-def _fit_many(configs: list[RunConfig]) -> list[trainer_mod.TrainRun]:
-    """Run the fits in input order on the calling thread.
+def _fit_alone(cfg: RunConfig) -> trainer_mod.TrainRun | NonFiniteError | DegenerateRowError:
+    """A lone fit's run, or the numerical error it raised."""
+    try:
+        return trainer_mod.fit(cfg)
+    except (NonFiniteError, DegenerateRowError) as exc:
+        return exc
 
-    A fit holds the GIL nearly throughout, so fits on threads only wait on
-    each other.
+
+def _fit_many(configs: list[RunConfig]) -> list[trainer_mod.TrainRun]:
+    """Run the fits on the calling thread; the runs come back in input order.
+
+    Configs that share a ``trainer.group_key`` train as one
+    ``trainer.fit_group``, groups in order of their first config. A fit
+    holds the GIL nearly throughout, so fits on threads only wait on each
+    other. A group that fails numerically, maybe in a term a member's
+    serial fit never computes, or whose replicas stop agreeing in shape,
+    is fit again one config at a time. Each config thus gets exactly its
+    serial fit's run or error, and the first error in input order is
+    raised.
     """
-    return [trainer_mod.fit(cfg) for cfg in configs]
+    groups: dict[tuple[str, bool], list[int]] = {}
+    for i, cfg in enumerate(configs):
+        groups.setdefault(trainer_mod.group_key(cfg), []).append(i)
+    outcomes: list = [None] * len(configs)
+    for members in groups.values():
+        group = [configs[i] for i in members]
+        runs = None
+        if len(group) > 1:
+            try:
+                runs = trainer_mod.fit_group(group)
+            except (NonFiniteError, DegenerateRowError, ReplicaMismatch):
+                pass  # refit below, one config at a time
+        if runs is None:
+            runs = [_fit_alone(cfg) for cfg in group]
+        for i, run in zip(members, runs):
+            outcomes[i] = run
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 def cmd_ablate(args) -> int:

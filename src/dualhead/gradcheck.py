@@ -4,10 +4,11 @@ The oracle is central differences with eps = 1e-6 on float64 values,
 compared coordinate by coordinate against the backward pass. Every
 perturbed copy of every leaf of an instance runs in one stacked forward
 (``ndgrad``'s replica axis), so an instance costs two forwards, one for
-backward and one for all its quotients, whatever its leaf count. The
-comparison is relative above a small magnitude floor and absolute below
-it (FD noise for a loss of size f is about f * 1e-10 at this eps, so
-near-zero true gradients would otherwise drown in cancellation noise).
+backward and one for all its quotients, whatever its leaf count; the
+stacked one builds no tape. The comparison is relative above a small
+magnitude floor and absolute below it (FD noise for a loss of size f is
+about f * 1e-10 at this eps, so near-zero true gradients would otherwise
+drown in cancellation noise).
 A NaN or infinite gradient makes the error NaN, which fails its case.
 
 Loss cases differentiate through a real model (encoder, classifier,
@@ -62,7 +63,8 @@ def finite_difference(forward: Callable[[], Tensor], leaves: Sequence[Tensor], e
     perturbations form one block, and every other leaf holds its own value
     there. One forward() then gives all 2n values, and every leaf gets its
     own data back. A leaf the forward never reads sees one value across
-    its block, so its quotients are 0.
+    its block, so its quotients are 0. The leaves' gradients are off while
+    they are perturbed, so that forward builds no tape.
     """
     datas = [t.data for t in leaves]
     flat = np.concatenate([data.reshape(-1) for data in datas])
@@ -72,13 +74,15 @@ def finite_difference(forward: Callable[[], Tensor], leaves: Sequence[Tensor], e
     replicas[2 * k, k] = flat + eps
     replicas[2 * k + 1, k] = flat - eps
     bounds = np.cumsum([0] + [data.size for data in datas])
+    enabled = [t.grad_enabled for t in leaves]
     try:
         for t, data, lo, hi in zip(leaves, datas, bounds, bounds[1:]):
             t.data, t.stacked = np.ascontiguousarray(replicas[:, lo:hi]).reshape((2 * n, *data.shape)), True
+            t.grad_enabled = False
         f = forward()
     finally:
-        for t, data in zip(leaves, datas):
-            t.data, t.stacked = data, False
+        for t, data, on in zip(leaves, datas, enabled):
+            t.data, t.stacked, t.grad_enabled = data, False, on
     if not f.stacked:
         return [np.zeros_like(data) for data in datas]
     if f.shape != (2 * n,):

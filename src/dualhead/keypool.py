@@ -22,8 +22,11 @@ state after, are exactly those of one ``rng.integers(0, n_c, size=k)``
 call per (query, non-empty class c), queries in batch order and classes
 ascending, each pick shifted by its class's segment start. A bank built
 with ``uniform=True`` draws as many keys from all its snapshots as one
-segment, one call per query. Unit norm is checked once per enqueued,
-installed, mixed-in or gathered block, and every norm here is
+segment, one call per query. A fit group samples and enqueues its
+replicas' pools through ``sample_group`` and ``enqueue_group``: one draw
+per pool with that replica's generator, one stacked block. Unit norm is
+checked once per enqueued, installed, mixed-in or gathered block (a
+group's stacked block counts as one), and every norm here is
 ``ndgrad.row_norms``: a non-finite norm raises ``NonFiniteError`` and a
 norm under its floor ``DegenerateRowError``, both naming the row (the
 example id in the bank).
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ndgrad import row_norms
+from .ndgrad import ReplicaMismatch, row_norms
 
 UNIT_TOL = 1e-9
 
@@ -53,17 +56,27 @@ def _check_unit(**blocks: np.ndarray) -> None:
             raise ValueError(f"{name} must be unit-norm, got |v|={float(norms[off > UNIT_TOL].flat[0])!r}")
 
 
-def _key_rows(h, z, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _key_rows(h, z, labels, stacked: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n x d), (n x L) and (n,) key rows as arrays, behind a leading replica axis if ``stacked``."""
     h, z, labels = np.asarray(h, dtype=np.float64), np.asarray(z, dtype=np.float64), np.asarray(labels, dtype=np.int64)
-    if h.ndim != 2 or z.ndim != 2 or labels.ndim != 1 or not h.shape[0] == z.shape[0] == labels.shape[0]:
-        raise ValueError(f"need (n x d), (n x L) and (n,) key rows, got {h.shape}, {z.shape}, {labels.shape}")
+    lead = 1 + stacked
+    ranks = (h.ndim, z.ndim, labels.ndim)
+    if ranks != (lead + 1, lead + 1, lead) or not h.shape[:-1] == z.shape[:-1] == labels.shape:
+        where = " per replica" if stacked else ""
+        raise ValueError(f"need (n x d), (n x L) and (n,) key rows{where}, got {h.shape}, {z.shape}, {labels.shape}")
     return h, z, labels
 
 
 def _draw(rng: np.random.Generator, queries: int, sizes: np.ndarray | list[int], per_class: int) -> np.ndarray:
-    """(queries x classes x per_class) positions in [0, sizes[j]): the module's stream, in one broadcast call."""
+    """(queries x classes x per_class) positions in [0, sizes[j]): the module's stream, in one call.
+
+    The call takes a filled-in array of bounds: a broadcast view of the
+    same values in the same order draws the same stream, at twice the cost.
+    """
     sizes = np.asarray(sizes, dtype=np.int64)
-    return rng.integers(0, np.broadcast_to(sizes[None, :, None], (queries, sizes.shape[0], per_class)))
+    high = np.empty((queries, sizes.shape[0], per_class), dtype=np.int64)
+    high[...] = sizes[:, None]
+    return rng.integers(0, high)
 
 
 def _segment_rows(rng: np.random.Generator, queries: int, starts, sizes, per_class: int) -> np.ndarray:
@@ -93,27 +106,27 @@ class KeyEntry:
 class KeyBatch:
     """K+1 keys for each of B queries, slot 0 the query's own; constant arrays, never on the tape."""
 
-    h_keys: np.ndarray  # (B x (K+1) x d)
+    h_keys: np.ndarray  # (B x (K+1) x d), behind a replica axis for a fit group
     z_keys: np.ndarray  # (B x (K+1) x L)
     labels: np.ndarray  # (B x (K+1)) int64
 
     @property
     def size(self) -> int:
         """K: the number of sampled keys per query, excluding slot 0."""
-        return int(self.labels.shape[1]) - 1
+        return int(self.labels.shape[-1]) - 1
 
     def positive_mask(self, labels: np.ndarray) -> np.ndarray:
         """(B x (K+1)) bool: the keys sharing their query's label."""
-        return self.labels == np.asarray(labels, dtype=np.int64)[:, None]
+        return self.labels == np.asarray(labels, dtype=np.int64)[..., None]
 
 
-def _with_queries(queries, h: np.ndarray, z: np.ndarray, labels: np.ndarray) -> KeyBatch:
-    """Put each query's own key in slot 0 ahead of its drawn keys, then check every row."""
-    h_q, z_q, y = _key_rows(*queries)
+def _with_queries(queries, h: np.ndarray, z: np.ndarray, labels: np.ndarray, stacked: bool = False) -> KeyBatch:
+    """Put each query's own key in slot 0 ahead of its drawn keys, then check every row (of every replica)."""
+    h_q, z_q, y = _key_rows(*queries, stacked)
     batch = KeyBatch(
-        h_keys=np.concatenate([h_q[:, None], h], axis=1),
-        z_keys=np.concatenate([z_q[:, None], z], axis=1),
-        labels=np.concatenate([y[:, None], labels], axis=1),
+        h_keys=np.concatenate([h_q[..., None, :], h], axis=-2),
+        z_keys=np.concatenate([z_q[..., None, :], z], axis=-2),
+        labels=np.concatenate([y[..., None], labels], axis=-1),
     )
     _check_unit(h_keys=batch.h_keys, z_keys=batch.z_keys)
     return batch
@@ -142,10 +155,17 @@ class MocoQueues:
     def enqueue(self, h: np.ndarray, z: np.ndarray, labels: np.ndarray) -> None:
         """Append each row to its class buffer in order, evicting the oldest at capacity."""
         h, z, labels = _key_rows(h, z, labels)
+        self._check_labels(labels)
+        _check_unit(h_key=h, z_key=z)
+        self._push(h, z, labels)
+
+    def _check_labels(self, labels: np.ndarray) -> None:
         outside = labels[(labels < 0) | (labels >= self.class_count)]
         if outside.size:
             raise IndexError(f"label {outside[0]} out of range [0, {self.class_count})")
-        _check_unit(h_key=h, z_key=z)
+
+    def _push(self, h: np.ndarray, z: np.ndarray, labels: np.ndarray) -> None:
+        """enqueue's writes, for rows whose shape, labels and norms are checked."""
         if self._h is None:
             self._h = np.zeros((self.class_count, self.queue_size, h.shape[1]))
             self._z = np.zeros((self.class_count, self.queue_size, z.shape[1]))
@@ -154,21 +174,28 @@ class MocoQueues:
         q = self.queue_size
         for c in np.unique(labels).tolist():
             keep = np.flatnonzero(labels == c)[-q:]  # earlier rows would be evicted within this call
+            k = keep.size
             for store, new in ((self._h, h), (self._z, z)):
-                store[c] = np.concatenate([store[c], new[keep]])[-q:]  # the oldest move toward slot 0 and drop out
-            self._fill[c] = min(int(self._fill[c]) + keep.size, q)
+                block = store[c]
+                block[:q - k] = block[k:]  # the oldest move toward slot 0 and drop out
+                block[q - k:] = new[keep]
+            self._fill[c] = min(int(self._fill[c]) + k, q)
 
     def sample(self, keys_per_class: int, h_query, z_query, labels, rng: np.random.Generator) -> KeyBatch:
         """Draw keys_per_class keys from every non-empty class for each query."""
+        return _with_queries((h_query, z_query, labels), *self._drawn(keys_per_class, len(labels), rng))
+
+    def _drawn(self, keys_per_class: int, queries: int, rng: np.random.Generator):
+        """The (queries x K) drawn keys and their labels, from one draw: sample's keys behind slot 0."""
         if keys_per_class < 1:
             raise ValueError("keys_per_class must be >= 1")
         if len(self) == 0:
             raise EmptyPoolError("all class buffers are empty; warm the pool up first")
         q, classes = self.queue_size, np.flatnonzero(self._fill)
         fill = self._fill[classes]
-        rows = _segment_rows(rng, len(labels), classes * q + q - fill, fill, keys_per_class)
+        rows = _segment_rows(rng, queries, classes * q + q - fill, fill, keys_per_class)
         h, z = (a.reshape(-1, a.shape[2])[rows] for a in (self._h, self._z))
-        return _with_queries((h_query, z_query, labels), h, z, rows // q)
+        return h, z, rows // q
 
 
 class MemoryBank:
@@ -227,12 +254,46 @@ class MemoryBank:
 
     def sample(self, keys_per_class: int, h_query, z_query, labels, rng: np.random.Generator) -> KeyBatch:
         """Same contract as MocoQueues.sample, drawn from the snapshots by the bank's own rule."""
+        return _with_queries((h_query, z_query, labels), *self._drawn(keys_per_class, len(labels), rng))
+
+    def _drawn(self, keys_per_class: int, queries: int, rng: np.random.Generator):
+        """The (queries x K) drawn snapshots and their labels, from one draw: sample's keys behind slot 0."""
         if keys_per_class < 1:
             raise ValueError("keys_per_class must be >= 1")
         if len(self) == 0:
             raise EmptyPoolError("memory bank has no snapshots; warm it up first")
         if self.uniform:
-            idx = _segment_rows(rng, len(labels), [0], [self.labels.shape[0]], keys_per_class * self._sizes.shape[0])
+            idx = _segment_rows(rng, queries, [0], [self.labels.shape[0]], keys_per_class * self._sizes.shape[0])
         else:
-            idx = self._by_class[_segment_rows(rng, len(labels), self._starts, self._sizes, keys_per_class)]
-        return _with_queries((h_query, z_query, labels), self.h_snap[idx], self.z_snap[idx], self.labels[idx])
+            idx = self._by_class[_segment_rows(rng, queries, self._starts, self._sizes, keys_per_class)]
+        return self.h_snap[idx], self.z_snap[idx], self.labels[idx]
+
+
+def sample_group(pools, keys_per_class: int, h_query, z_query, labels, rngs) -> KeyBatch:
+    """Each replica's pool sampled for that replica's queries with its own generator, as one stacked KeyBatch.
+
+    Every pool makes its own one draw, so each stream is the one its
+    ``sample`` call would make; the slot-0 keys go in, and the unit check
+    runs, once for the whole stack. A lone pool is sampled as it is, its
+    arrays unstacked. Raises ``ReplicaMismatch`` when the pools draw
+    different numbers of keys (queues whose non-empty classes differ).
+    """
+    if len(pools) == 1:
+        return pools[0].sample(keys_per_class, h_query, z_query, labels, rngs[0])
+    drawn = [pool._drawn(keys_per_class, len(y), rng) for pool, y, rng in zip(pools, labels, rngs)]
+    if len({d[2].shape for d in drawn}) > 1:
+        raise ReplicaMismatch(f"replicas drew key blocks of shapes {[d[2].shape for d in drawn]}")
+    return _with_queries((h_query, z_query, labels), *(np.array(a) for a in zip(*drawn)), stacked=True)
+
+
+def enqueue_group(pools: list[MocoQueues], h, z, labels) -> None:
+    """Each replica's key rows into its own queues, unit-checked once for the stack; a lone pool as it is."""
+    if len(pools) == 1:
+        pools[0].enqueue(h, z, labels)
+        return
+    h, z, labels = _key_rows(h, z, labels, stacked=True)
+    for pool, y in zip(pools, labels):
+        pool._check_labels(y)
+    _check_unit(h_key=h, z_key=z)
+    for pool, *rows in zip(pools, h, z, labels):
+        pool._push(*rows)

@@ -17,7 +17,10 @@ softmax followed by negative log-probabilities of designated positives.
   included, so the positive set is never empty.
 * ``joint_total``: the unweighted sum of the enabled terms. Weights
   exist only so an ablation can switch terms off (weight 0); defaults
-  are all 1 and no tuning is intended.
+  are all 1 and no tuning is intended. A fit group weights each replica
+  apart: a term on for any replica is computed for all, and a replica's
+  zero weight adds -0.0 to its total (bit for bit the serial sum, which
+  skips the term) and zeros to its gradients.
 * ``objective``: the one place the trained composition is built from a
   ``LossesConfig``: ``ce`` on the logits, ``cce`` on the unit-normalized
   features, ``ccl`` on the projections, then ``joint_total``. The
@@ -30,6 +33,7 @@ the 1/tau scale (1.0 for ``ce``), the row log-softmax, the mask, the sum
 and one scale of that sum, by -1 or by -1/B.
 Shapes are read from the trailing axes, so a stacked feature, projection
 or prototype matrix (``ndgrad``'s replica axis) gives one loss per
+replica; labels and keys may carry the replica axis too, one batch per
 replica.
 Keys arrive as one ``KeyBatch`` for the whole batch, and each
 contrastive loss builds one (B x (K+1)) similarity matrix from it with
@@ -59,21 +63,29 @@ class LossTerms:
 
     ``h_norm`` is the unit-normalized feature ``objective`` built for
     ``cce`` (None when ``cce`` is off), so a caller needing it again
-    reuses it instead of normalizing twice.
+    reuses it instead of normalizing twice. A stacked batch's weights are
+    three (R,) vectors, one weight per replica each.
     """
 
     ce: Tensor | None = None
     cce: Tensor | None = None
     ccl: Tensor | None = None
     total: Tensor | None = None
-    weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    weights: tuple = (1.0, 1.0, 1.0)
     h_norm: Tensor | None = None
 
-    def values(self) -> dict[str, float | None]:
-        def val(t: Tensor | None) -> float | None:
-            return None if t is None else t.item()
+    def values(self, replica: int | None = None) -> dict[str, float | None]:
+        """Each term's value, None where it is off; ``replica`` reads one replica of a stacked batch."""
 
-        return {"ce": val(self.ce), "cce": val(self.cce), "ccl": val(self.ccl), "total": val(self.total)}
+        def val(t: Tensor | None, w=None) -> float | None:
+            if t is None:
+                return None
+            if replica is None:
+                return t.item()
+            return None if w is not None and w[replica] == 0.0 else float(t.data[replica])
+
+        ce, cce, ccl = (val(t, w) for t, w in zip((self.ce, self.cce, self.ccl), self.weights))
+        return {"ce": ce, "cce": cce, "ccl": ccl, "total": val(self.total)}
 
 
 def _check_tau(tau: float) -> float:
@@ -99,25 +111,27 @@ def _masked_nll(scores: Tensor, mask: np.ndarray, reduction: str = "sum", inv_ta
 
 
 def _check_keys(keys: KeyBatch, labels: np.ndarray, b: int, rows: np.ndarray, dim: int, what: str) -> None:
-    if keys.labels.shape[0] != b or labels.shape[0] != b:
-        raise nd.ShapeError(f"need one key row and label per query ({b}), got {keys.labels.shape[0]}/{labels.shape[0]}")
-    bad = np.flatnonzero(keys.labels[:, 0] != labels)
+    if keys.labels.shape[-2] != b or labels.shape[-1] != b:
+        got = f"{keys.labels.shape[-2]}/{labels.shape[-1]}"
+        raise nd.ShapeError(f"need one key row and label per query ({b}), got {got}")
+    bad = np.flatnonzero(keys.labels[..., 0] != labels)
     if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"query {i}: slot-0 label {keys.labels[i, 0]} != query label {labels[i]}")
-    if rows.shape[2] != dim:
-        raise nd.ShapeError(f"key dim {rows.shape[2]} != {what} dim {dim}")
+        *replica, i = where = np.unravel_index(bad[0], labels.shape)
+        name = " ".join([f"replica {r}" for r in replica] + [f"query {i}"])
+        raise ValueError(f"{name}: slot-0 label {keys.labels[where + (0,)]} != query label {labels[where]}")
+    if rows.shape[-1] != dim:
+        raise nd.ShapeError(f"key dim {rows.shape[-1]} != {what} dim {dim}")
 
 
 def ce(logits: Tensor, labels: np.ndarray, reduction: str = "sum") -> Tensor:
     """Cross-entropy over class logits, summed over the batch."""
     b, c = logits.shape[-2:]
     labels = _check_labels(labels, c)
-    if labels.shape[0] != b:
-        raise nd.ShapeError(f"{labels.shape[0]} labels for batch of {b}")
-    onehot = np.zeros((b, c))
-    onehot[np.arange(b), labels] = 1.0
-    return _masked_nll(logits, onehot, reduction)
+    if labels.shape[-1] != b:
+        raise nd.ShapeError(f"{labels.shape[-1]} labels for batch of {b}")
+    onehot = np.zeros((labels.size, c))
+    onehot[np.arange(labels.size), labels.reshape(-1)] = 1.0
+    return _masked_nll(logits, onehot.reshape(labels.shape + (c,)), reduction)
 
 
 def info_nce(q: Tensor, keys: KeyBatch, positive_index: int, tau: float) -> Tensor:
@@ -160,7 +174,7 @@ def cce(
     positives = keys.positive_mask(labels)
     if variant == "literal":
         mask = np.zeros(positives.shape)
-        mask[:, 0] = positives.sum(axis=1)
+        mask[..., 0] = positives.sum(axis=-1)
     else:
         mask = positives.astype(float)
     return _masked_nll(sims, mask, reduction, 1.0 / tau)
@@ -182,19 +196,32 @@ def ccl(
     return _masked_nll(sims, keys.positive_mask(labels).astype(float), reduction, 1.0 / tau)
 
 
+def _on(weight) -> bool:
+    """Whether a term is enabled: its weight, or any replica's, is nonzero."""
+    return bool(weight.any()) if isinstance(weight, np.ndarray) else weight != 0.0
+
+
+def _unweighted(weight) -> bool:
+    """Whether a term enters the total as it is: its weight, or every replica's, is 1."""
+    return bool((weight == 1.0).all()) if isinstance(weight, np.ndarray) else weight == 1.0
+
+
 def joint_total(terms: LossTerms) -> Tensor:
     """Weighted sum of the enabled terms; weight 0 disables a term.
 
     With the default all-ones weights this is exactly ce + cce + ccl.
+    Per-replica weights scale each replica's term by its own weight; a
+    zero weight gives -0.0 (``scale_by_scalar``), which adds nothing where
+    the serial sum skips the term.
     Sets ``terms.total`` and returns it.
     """
     parts: list[Tensor] = []
     for weight, term, name in zip(terms.weights, (terms.ce, terms.cce, terms.ccl), ("ce", "cce", "ccl")):
-        if weight == 0.0:
+        if not _on(weight):
             continue
         if term is None:
             raise ValueError(f"term {name!r} is enabled (weight {weight}) but was not computed")
-        parts.append(term if weight == 1.0 else nd.scale_by_scalar(term, weight))
+        parts.append(term if _unweighted(weight) else nd.scale_by_scalar(term, weight))
     if not parts:
         raise NoEnabledTermError("every loss term is disabled")
     total = parts[0]
@@ -205,23 +232,32 @@ def joint_total(terms: LossTerms) -> Tensor:
 
 
 def objective(
-    h: Tensor, z: Tensor | None, logits: Tensor, labels: np.ndarray, W: Tensor, keys: KeyBatch | None, cfg: LossesConfig
+    h: Tensor,
+    z: Tensor | None,
+    logits: Tensor,
+    labels: np.ndarray,
+    W: Tensor,
+    keys: KeyBatch | None,
+    cfg: LossesConfig,
+    weights: np.ndarray | None = None,
 ) -> LossTerms:
     """The enabled terms of the joint loss and their total, as ``cfg`` weights them.
 
     ``h`` is the raw feature (``cce`` normalizes it), ``z`` the unit
     projection, ``W`` the classifier prototypes; ``z`` may be None when
     ``ccl`` is off, and ``keys`` when both contrastive terms are off.
+    A stacked batch passes ``weights``, one (ce, cce, ccl) row per
+    replica, in place of cfg's.
     ``terms.total`` is set, and ``terms.h_norm`` when ``cce`` is on.
     """
-    terms = LossTerms(weights=cfg.weights())
+    terms = LossTerms(weights=cfg.weights() if weights is None else tuple(np.asarray(weights, dtype=np.float64).T))
     w_ce, w_cce, w_ccl = terms.weights
-    if w_ce != 0.0:
+    if _on(w_ce):
         terms.ce = ce(logits, labels, reduction=cfg.reduction)
-    if w_cce != 0.0:
+    if _on(w_cce):
         terms.h_norm = nd.row_l2_normalize(h)
         terms.cce = cce(terms.h_norm, labels, W, keys, cfg.tau, variant=cfg.cce_variant, reduction=cfg.reduction)
-    if w_ccl != 0.0:
+    if _on(w_ccl):
         terms.ccl = ccl(z, labels, keys, cfg.tau, reduction=cfg.reduction)
     joint_total(terms)
     return terms

@@ -18,6 +18,7 @@ the contrastive classifier loss contrasts against.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -65,33 +66,57 @@ class ModelParams:
     """All trainable tensors, zero at first, each a view into the one vector ``flat``.
 
     A tensor's ``data`` is never rebound: a write to either side shows in
-    the other. ``slices`` gives each name's span of ``flat``.
+    the other. ``slices`` gives each name's span of ``flat``. With
+    ``replicas`` R, ``flat`` is (R x P) and every tensor is stacked: a fit
+    group's R layouts on ``ndgrad``'s replica axis.
     """
 
     grad_enabled = True
 
-    def __init__(self, dims: ModelDims, classifier_bias: bool = False):
+    def __init__(self, dims: ModelDims, classifier_bias: bool = False, replicas: int | None = None):
         self.dims = dims
         self.layout = parameter_layout(dims, classifier_bias)
-        self.flat = np.zeros(sum(math.prod(shape) for _, shape, _ in self.layout))
+        size = sum(math.prod(shape) for _, shape, _ in self.layout)
+        self._bind(np.zeros(size if replicas is None else (replicas, size)))
+
+    def _bind(self, flat: np.ndarray) -> None:
+        """Lay the tensors out over ``flat``: (P,), or (R x P) for stacked tensors."""
+        self.flat = flat
+        lead = flat.shape[:-1]
         self.slices: dict[str, slice] = {}
         self._named: list[tuple[str, Tensor]] = []
         start = 0
         for name, shape, _ in self.layout:
-            view = self.flat[start:start + math.prod(shape)].reshape(shape)
+            span = slice(start, start + math.prod(shape))
+            view = flat[..., span].reshape(lead + shape)
             t = Tensor(view, grad_enabled=self.grad_enabled)
-            t.data = view  # the constructor copies; the tensor must see flat
-            self.slices[name] = slice(start, start + view.size)
+            t.data, t.stacked = view, bool(lead)  # the constructor copies; the tensor must see flat
+            self.slices[name] = span
             self._named.append((name, t))
-            start += view.size
+            start = span.stop
         tensors = [t for _, t in self._named]
-        n_enc = 2 * (len(dims.hidden) + 1)
+        n_enc = 2 * (len(self.dims.hidden) + 1)
         self.encoder_layers = list(zip(tensors[0:n_enc:2], tensors[1:n_enc:2]))
         self.classifier_W, *bias, self.projector_w, self.projector_b = tensors[n_enc:]
         self.classifier_b = bias[0] if bias else None
 
+    @property
+    def stacked(self) -> bool:
+        return self.flat.ndim == 2
+
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return list(self._named)
+
+    def replicas(self) -> list[ModelParams]:
+        """One unstacked layout per replica, each over its row of ``flat``; just this one when unstacked."""
+        if not self.stacked:
+            return [self]
+        out = []
+        for row in self.flat:
+            view = copy.copy(self)
+            view._bind(row)
+            out.append(view)
+        return out
 
 
 class MomentumTwin(ModelParams):
@@ -104,9 +129,19 @@ class MomentumTwin(ModelParams):
     grad_enabled = False
 
     def __init__(self, params: ModelParams, m: float):
-        super().__init__(params.dims, params.classifier_b is not None)
+        super().__init__(params.dims, params.classifier_b is not None, params.flat.shape[0] if params.stacked else None)
         self.flat[:] = params.flat
         self.m = float(m)
+
+
+def stack(replicas: list[ModelParams]) -> ModelParams:
+    """One layout stacking the given ones' vectors on the replica axis; a single one as it is."""
+    if len(replicas) == 1:
+        return replicas[0]
+    first = replicas[0]
+    params = ModelParams(first.dims, first.classifier_b is not None, len(replicas))
+    params.flat[:] = [p.flat for p in replicas]
+    return params
 
 
 def init_params(dims: ModelDims, rng: np.random.Generator, classifier_bias: bool = False) -> ModelParams:
@@ -140,7 +175,7 @@ def forward_query(params: ModelParams, x: Tensor, project: bool = True) -> tuple
     projector output scaled to the unit sphere, or None without
     ``project``, the evaluation path. Everything stays on the gradient tape.
     """
-    if x.data.ndim != 2 or x.shape[1] != params.dims.in_dim:
+    if x.data.ndim != 2 + x.stacked or x.shape[-1] != params.dims.in_dim:
         raise ShapeError(f"expected input (b x {params.dims.in_dim}), got {x.shape}")
     h = _encode(params.encoder_layers, x)
     logits = nd.linear(h, params.classifier_W, params.classifier_b, w_rows=True)

@@ -22,12 +22,18 @@ buffer: it never aliases an upstream gradient or another tensor's buffer.
 A tensor marked ``stacked`` holds R replicas of one value on a leading
 axis: its ``data`` is (R, *shape), and every op applies its rule to
 each replica, broadcasting an unstacked operand across them. The mark
-is set explicitly (finite differences put the 2n perturbed copies of a
-leaf on it), never inferred from rank, and ``_from_op`` carries it to
-the result. Each op has one forward expression for both forms
-(``...``-indexed gathers, ``...`` einsums, trailing-axis reductions);
-the replica axis is forward-only: a stacked result joins no tape and
-cannot be backpropagated.
+is set explicitly (a fit group's parameters, finite differences' 2n
+perturbed copies of a leaf), never inferred from rank, and ``_from_op``
+carries it to the result. The constant operands of ``select_rows``,
+``row_dot_slab`` and ``masked_nll`` (indices, slab, mask) may carry the
+replica axis too, one per replica. Each op has one forward and one
+backward expression for both forms (``...``-indexed gathers, ``...``
+einsums and matmuls, trailing-axis reductions). A stacked result joins
+the tape like any other: ``backward`` on an (R,) stacked loss gives
+each replica its own gradient, and an unstacked operand of a stacked
+result gets the sum of its replicas' gradients. Finite differences keep
+their perturbed forwards off the tape by disabling the leaves'
+gradients while they run.
 
 ``row_norms`` is the one row rule, shared with the key pool: a row whose
 norm is not finite, or is below a floor (``NORM_EPS`` on the tape), is
@@ -53,6 +59,10 @@ class ShapeError(ValueError):
 
 class DegenerateRowError(ValueError):
     """A row with (near-)zero norm reached a normalization op."""
+
+
+class ReplicaMismatch(ShapeError):
+    """A fit group's replicas stopped agreeing in shape (data or key batches), so they cannot share a tape."""
 
 
 class Tensor:
@@ -89,16 +99,14 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Reverse-accumulate gradients from this scalar into enabled leaves.
+        """Reverse-accumulate gradients from this scalar, or one per replica, into enabled leaves.
 
         The traversal visits each tape node exactly once and frees the
         graph afterwards; intermediate results cannot be backpropagated
         twice.
         """
-        if self.stacked:
-            raise ShapeError(f"backward() on a stacked result {self.shape}: the replica axis is forward-only")
-        if self.data.size != 1:
-            raise ShapeError(f"backward() requires a scalar, got shape {self.shape}")
+        if _item_shape(self) != () and self.data.size != 1:
+            raise ShapeError(f"backward() requires a scalar per replica, got shape {_item_shape(self)}")
         topo: list[Tensor] = []
         visited: set[Tensor] = set()  # Tensor defines no __eq__, so membership is identity
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -123,6 +131,19 @@ class Tensor:
         for node in topo:
             node._parents = ()
             node._backward = None
+
+    def leaves(self) -> list[Tensor]:
+        """The grad-enabled leaves this result was computed from, each once, while its tape stands."""
+        seen: set[Tensor] = set()
+        stack, out = [self], []
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                stack.extend(node._parents)
+                if node._op == "leaf" and node.grad_enabled:
+                    out.append(node)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape}, grad_enabled={self.grad_enabled}, op={self._op})"
@@ -149,7 +170,7 @@ def _item_shape(t: Tensor) -> tuple[int, ...]:
 def _from_op(
     arr: np.ndarray, op: str, parents: tuple[Tensor, ...], backward: Callable[[np.ndarray], None] | None
 ) -> Tensor:
-    """The op's result node: stacked if any parent is, and then kept off the tape."""
+    """The op's result node: stacked if any parent is, on the tape if any parent is."""
     stacked = enabled = False
     for p in parents:  # a plain loop: cheaper than any() over a generator for one to three parents
         stacked = stacked or p.stacked
@@ -161,7 +182,7 @@ def _from_op(
     out.grad = None
     out._op = op
     out.stacked = stacked
-    if enabled and not stacked:
+    if enabled:
         out.grad_enabled = True
         out._parents = parents
         out._backward = backward
@@ -175,6 +196,8 @@ def _from_op(
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.grad_enabled:
         return
+    if g.ndim > t.data.ndim:  # an unstacked operand of a stacked result: its replicas' gradients, in order
+        g = g.sum(axis=0)
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64)  # an owned copy: g may be shared or a view
     else:
@@ -185,7 +208,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, w_rows: bool = False) 
     """x @ w (+ b) as one node; ``w_rows`` takes w as (out x in) rows, giving x @ w.T.
 
     w is multiplied in C order, the rows form by a contiguous copy of w.T,
-    never by a view in another layout: the two can round differently.
+    never by a view in another layout: the two can round differently. For
+    the same reason the backward multiplies C-order x and g, so a replica's
+    gradient never depends on how the stack lays it out.
     """
     if x.data.ndim != 2 + x.stacked or w.data.ndim != 2 + w.stacked:
         raise ShapeError(f"linear needs 2-D operands, got {_item_shape(x)} and {_item_shape(w)}")
@@ -199,10 +224,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, w_rows: bool = False) 
         out = out + b.data[..., None, :]
 
     def backward(g: np.ndarray) -> None:
+        g = np.ascontiguousarray(g)
         if b is not None:
-            _accumulate(b, g.sum(axis=0))
-        _accumulate(x, g @ wt.T)
-        _accumulate(w, (x.data.T @ g).T if w_rows else x.data.T @ g)
+            _accumulate(b, g.sum(axis=-2))
+        if x.grad_enabled:  # an input batch is not, so its product is never formed
+            _accumulate(x, g @ wt.swapaxes(-1, -2))
+        gw = np.ascontiguousarray(x.data).swapaxes(-1, -2) @ g
+        _accumulate(w, gw.swapaxes(-1, -2) if w_rows else gw)
 
     return _from_op(out, "linear", (x, w) if b is None else (x, w, b), backward)
 
@@ -231,13 +259,25 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(a.data * b.data, "mul", (a, b), backward)
 
 
-def scale_by_scalar(a: Tensor, s: float) -> Tensor:
-    s = float(s)
+def scale_by_scalar(a: Tensor, s) -> Tensor:
+    """a * s for a float s, or for one s per replica of a stacked a (the loss weights of a fit group).
+
+    A zero scale gives -0.0, not the signed product: x + (-0.0) is x for
+    every x, so a term that a zero weight switches off adds nothing to a
+    sum, bit for bit, as if it were never added.
+    """
+    if np.ndim(s) == 0:
+        s = float(s)
+    else:
+        s = np.asarray(s, dtype=np.float64)
+        if not a.stacked or s.shape != a.shape[:1]:
+            raise ShapeError(f"scale_by_scalar needs one scale per replica, got {s.shape} for {a.shape}")
+        s = s.reshape(s.shape + (1,) * (a.data.ndim - 1))
 
     def backward(g: np.ndarray) -> None:
         _accumulate(a, g * s)
 
-    return _from_op(a.data * s, "scale_by_scalar", (a,), backward)
+    return _from_op(np.where(s != 0.0, a.data * s, -0.0), "scale_by_scalar", (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -258,56 +298,63 @@ def sum(a: Tensor) -> Tensor:  # noqa: A001 - spec'd op name
     """Sum of all entries, as a scalar tensor; a stacked operand sums to one value per replica."""
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, np.full_like(a.data, float(g)))
+        _accumulate(a, np.broadcast_to(g.reshape(g.shape + (1,) * (a.data.ndim - g.ndim)), a.shape))
 
     return _from_op(_c_order_sum(a.data, a.stacked), "sum", (a,), backward)
 
 
 def select_rows(a: Tensor, indices) -> Tensor:
-    """Gather rows by index into a new array; duplicate indices are allowed."""
+    """Gather rows by index into a new array; duplicate indices are allowed.
+
+    1-D indices pick the same rows of every replica; a stacked operand
+    also takes (R x k) indices, row r picking replica r's rows.
+    """
     if a.data.ndim != 2 + a.stacked:
         raise ShapeError(f"select_rows needs a 2-D operand, got {_item_shape(a)}")
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError("select_rows indices must be 1-D")
+    if idx.ndim != 1 and not (a.stacked and idx.shape[:1] == a.shape[:1] and idx.ndim == 2):
+        raise ShapeError(f"select_rows indices must be 1-D, or one row per replica, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[-2]):
         raise IndexError(f"row index out of range for shape {_item_shape(a)}")
+    where = (..., idx, slice(None)) if idx.ndim == 1 else (np.arange(idx.shape[0])[:, None], idx)
 
     def backward(g: np.ndarray) -> None:
         if a.grad_enabled:
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, idx, g)
+            np.add.at(a.grad, where, g)
 
-    return _from_op(a.data[..., idx, :], "select_rows", (a,), backward)
+    return _from_op(a.data[where], "select_rows", (a,), backward)
 
 
 def row_dot_slab(a: Tensor, slab: np.ndarray, live0: Tensor | None = None) -> Tensor:
     """out[b, n] = a[b] . slab[b, n]: each live row against its own constant (B x N x d) slab.
 
     A live (B x d) ``live0`` stands in for the slab's slot 0, which is not
-    read: column 0 is a[b] . live0[b], on the tape for both operands.
+    read: column 0 is a[b] . live0[b], on the tape for both operands. A
+    stacked result also takes one slab per replica, (R x B x N x d).
     """
     slab = np.asarray(slab, dtype=np.float64)
-    if a.data.ndim != 2 + a.stacked or slab.ndim != 3 or slab.shape[0] != a.shape[-2] or slab.shape[2] != a.shape[-1]:
+    lead = a.shape[:1] if a.stacked else live0.shape[:1] if live0 is not None and live0.stacked else ()  # (R,) if stacked
+    if a.data.ndim != 2 + a.stacked or slab.shape[:-3] not in ((), lead) or slab.shape[-3::2] != a.shape[-2:]:
         raise ShapeError(
             f"row_dot_slab needs (B x d) rows and a (B x N x d) slab, got {_item_shape(a)} and {slab.shape}"
         )
     if live0 is not None:
         same = (live0.shape == a.shape and live0.stacked == a.stacked) or _item_shape(live0) == _item_shape(a)
-        if not same or slab.shape[1] == 0:
+        if not same or slab.shape[-2] == 0:
             raise ShapeError(
                 f"row_dot_slab live0 needs the rows' shape {_item_shape(a)} and a slot 0, got {_item_shape(live0)}"
             )
-        full = np.empty(live0.shape[:-2] + slab.shape)  # each replica's slot 0 ahead of the shared rest
+        full = np.empty(lead + slab.shape[-3:])  # each replica's slot 0 ahead of its rest
         full[...] = slab
         full[..., 0, :] = live0.data
         slab = full
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, np.einsum("bn,bnd->bd", g, slab))
+        _accumulate(a, np.einsum("...bn,...bnd->...bd", g, slab))
         if live0 is not None:
-            _accumulate(live0, g[:, :1] * a.data)
+            _accumulate(live0, g[..., :1] * a.data)
 
     parents = (a,) if live0 is None else (a, live0)
     return _from_op(np.einsum("...bd,...bnd->...bn", a.data, slab), "row_dot_slab", parents, backward)
@@ -344,7 +391,7 @@ def row_l2_normalize(a: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         # Projection onto the tangent of the unit sphere, scaled by 1/norm.
-        inner = (g * out).sum(axis=1, keepdims=True)
+        inner = (g * out).sum(axis=-1, keepdims=True)
         _accumulate(a, (g - out * inner) / norms)
 
     return _from_op(out, "row_l2_normalize", (a,), backward)
@@ -355,10 +402,11 @@ def masked_nll(scores: Tensor, mask: np.ndarray, scale: float, inv_tau: float = 
 
     Forward and backward repeat, step for step, the arithmetic of the
     separate scale, log-softmax, mask, sum and scale ops they replace.
-    Stacked scores give one value per replica.
+    Stacked scores give one value per replica, and take one mask for all
+    replicas or one each.
     """
     mask = np.asarray(mask, dtype=np.float64)
-    if scores.data.ndim != 2 + scores.stacked or mask.shape != _item_shape(scores):
+    if scores.data.ndim != 2 + scores.stacked or mask.shape not in (_item_shape(scores), scores.shape):
         raise ShapeError(
             f"masked_nll needs 2-D scores and a mask of their shape, got {_item_shape(scores)} and {mask.shape}"
         )
@@ -370,8 +418,8 @@ def masked_nll(scores: Tensor, mask: np.ndarray, scale: float, inv_tau: float = 
     _check_finite(logp, "masked_nll", scores.stacked)
 
     def backward(g: np.ndarray) -> None:
-        gl = np.full_like(logp, float(g * scale)) * mask
-        gs = gl - np.exp(logp) * gl.sum(axis=1, keepdims=True)
+        gl = (g * scale)[..., None, None] * mask
+        gs = gl - np.exp(logp) * gl.sum(axis=-1, keepdims=True)
         _accumulate(scores, gs * inv_tau)
 
     return _from_op(_c_order_sum(logp * mask, scores.stacked) * scale, "masked_nll", (scores,), backward)

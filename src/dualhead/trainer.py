@@ -28,23 +28,34 @@ features.
 Determinism: a run's randomness comes from the named substreams of the
 run seed in ``run_streams``, so identical config + seed reproduces the
 metric log bit for bit.
+
+Fit groups: ``fit_group`` trains configs that differ only in seed and
+loss weights on one tape, one replica each on ``ndgrad``'s replica axis.
+The parameter vector, the twin and the velocity are (R x P); each
+replica keeps its own data, generators and key pool, and its pool makes
+its own one draw each step (``keypool.sample_group``), so every stream
+is its serial fit's, and each replica's params, pool and metric log are
+its serial fit's bit for bit. ``fit`` is a group of one, which builds
+the unstacked tape.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import data as data_mod
+from . import keypool as keypool_mod
 from . import losses as losses_mod
 from . import model as model_mod
 from . import ndgrad as nd
 from .config import OptimizerConfig, RunConfig
 from .keypool import MemoryBank, MocoQueues
 from .model import ModelDims, ModelParams, MomentumTwin
-from .ndgrad import NonFiniteError, Tensor
+from .ndgrad import NonFiniteError, ReplicaMismatch, Tensor
 
 
 @dataclass
@@ -58,7 +69,8 @@ class OptimizerState:
     schedule of (iteration, multiplier) decay points, each applied once
     when its iteration starts; a velocity and a per-element learning-rate
     boost (head_lr_multiplier on the heads, 1 on the encoder), both laid
-    out like ``ModelParams.flat``; and the running learning-rate multiplier.
+    out like ``ModelParams.flat`` (the boost one row for every replica);
+    and the running learning-rate multiplier.
     """
 
     config: OptimizerConfig
@@ -80,7 +92,7 @@ class MetricRow:
 
 @dataclass
 class TrainRun:
-    """Everything a finished run produced, metric log included."""
+    """Everything a finished run produced, metric log included; ``wall_seconds`` is its fit group's."""
 
     config: RunConfig
     seed: int
@@ -105,7 +117,7 @@ def resolve_schedule(spec, iterations: int) -> tuple[tuple[int, float], ...]:
 
 
 def init_optimizer(params: ModelParams, cfg: RunConfig) -> OptimizerState:
-    boost = np.ones_like(params.flat)
+    boost = np.ones(params.flat.shape[-1])
     for name, span in params.slices.items():
         boost[span] = 1.0 if name.startswith("encoder.") else cfg.optimizer.head_lr_multiplier
     schedule = resolve_schedule(cfg.optimizer.schedule, cfg.optimizer.iterations)
@@ -118,19 +130,21 @@ def advance_schedule(opt: OptimizerState, iteration: int) -> None:
             opt.lr_mult *= mult
 
 
-def sgd_apply(params: ModelParams, opt: OptimizerState) -> None:
+def sgd_apply(params: ModelParams, opt: OptimizerState, reached: dict[str, np.ndarray] | None = None) -> None:
     """One SGD-momentum update of the parameter vector; consumes and clears gradients.
 
     Parameters whose gradient was never touched this step are masked out
     (no decay, no velocity update), mirroring the usual deep-learning convention.
+    On a stacked group the rule holds per replica: ``reached`` gives, for
+    each parameter with a gradient, the replicas whose enabled terms read it.
     """
     grad = np.zeros_like(params.flat)
-    live = np.zeros(params.flat.size, dtype=bool)
+    live = np.zeros(params.flat.shape, dtype=bool)
     for name, t in params.named_parameters():
         if t.grad is not None:
             span = params.slices[name]
-            grad[span] = t.grad.reshape(-1)
-            live[span] = True
+            grad[..., span] = t.grad.reshape(grad.shape[:-1] + (-1,))
+            live[..., span] = True if reached is None else reached[name][:, None]
             t.zero_grad()
     cfg, w, v = opt.config, params.flat, opt.velocity
     np.copyto(v, v * cfg.sgd_momentum + (grad + cfg.weight_decay * w), where=live)
@@ -138,6 +152,28 @@ def sgd_apply(params: ModelParams, opt: OptimizerState) -> None:
     if not np.isfinite(w).all():
         name = next(name for name, t in params.named_parameters() if not np.isfinite(t.data).all())
         raise NonFiniteError(f"parameter {name} became non-finite after the optimizer step")
+
+
+def _per_replica(a, stacked: bool) -> list:
+    """a's replicas along its leading axis, or [a] itself unstacked."""
+    return list(a) if stacked else [a]
+
+
+def _stack(rows: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """Each replica's arrays stacked field by field on a leading axis; a lone replica's as they are."""
+    return rows[0] if len(rows) == 1 else tuple(np.array(a) for a in zip(*rows))
+
+
+def _reached(params: ModelParams, terms: losses_mod.LossTerms) -> dict[str, np.ndarray]:
+    """Per parameter, the replicas whose nonzero-weighted terms read it: a stacked tape's "has a gradient"."""
+    names = {id(t): name for name, t in params.named_parameters()}
+    readers: dict[str, list[np.ndarray]] = {}
+    for term, weight in zip((terms.ce, terms.cce, terms.ccl), terms.weights):
+        if term is not None:
+            on = weight != 0.0
+            for leaf in term.leaves():
+                readers.setdefault(names[id(leaf)], []).append(on)
+    return {name: np.logical_or.reduce(ons) for name, ons in readers.items()}
 
 
 def step(
@@ -149,34 +185,49 @@ def step(
     cfg: RunConfig,
     rng: np.random.Generator,
 ) -> losses_mod.LossTerms:
-    """One optimization step over (features, labels, training row numbers)."""
+    """One optimization step over (features, labels, training row numbers).
+
+    A stacked group (``params.stacked``) passes its batch arrays on the
+    replica axis and a sequence of one pool, config and generator per
+    replica; its configs agree on everything but seed and loss weights.
+    """
     x_np, y, ids = batch
+    stacked = params.stacked
+    pools, cfgs, rngs = (pool, cfg, rng) if stacked else ((pool,), (cfg,), (rng,))
+    cfg = cfgs[0]
     contrastive = cfg.losses.contrastive
-    bank_mode = isinstance(pool, MemoryBank)
+    bank_mode = isinstance(pools[0], MemoryBank)
 
     x = Tensor(x_np)
+    x.stacked = stacked
     h_q, z_q, logits = model_mod.forward_query(params, x, project=contrastive)  # nothing reads z in a CE-only step
 
     keys = None
     if contrastive:
-        own = pool.entry(ids) if bank_mode else (*model_mod.forward_key(twin, x), y)  # each query's slot-0 keys
-        seeding = len(pool) == 0 and cfg.keys.warmup_mode == "defer"  # an empty bank has already raised in entry
+        if bank_mode:  # each query's slot-0 keys
+            own = _stack([p.entry(i) for p, i in zip(pools, _per_replica(ids, stacked))])
+        else:
+            own = (*model_mod.forward_key(twin, x), y)
+        seeding = len(pools[0]) == 0 and cfg.keys.warmup_mode == "defer"  # an empty bank has already raised in entry
         if seeding:  # a deferred warm-up: this batch's keys are the pool's first
-            pool.enqueue(*own)
-        keys = pool.sample(cfg.keys.keys_per_class, *own, rng)
+            keypool_mod.enqueue_group(pools, *own)
+        keys = keypool_mod.sample_group(pools, cfg.keys.keys_per_class, *own, rngs)
 
-    terms = losses_mod.objective(h_q, z_q, logits, y, params.classifier_W, keys, cfg.losses)
+    weights = np.array([c.losses.weights() for c in cfgs]) if stacked else None
+    terms = losses_mod.objective(h_q, z_q, logits, y, params.classifier_W, keys, cfg.losses, weights)
+    reached = _reached(params, terms) if stacked else None
     terms.total.backward()
-    sgd_apply(params, opt)
+    sgd_apply(params, opt, reached)
 
     if contrastive:
         if bank_mode:
             h_norm = terms.h_norm.data if terms.h_norm is not None else h_q.data / nd.row_norms(h_q.data, "h")
-            pool.update(ids, h_norm, z_q.data)
+            for p, *rows in zip(pools, *(_per_replica(a, stacked) for a in (ids, h_norm, z_q.data))):
+                p.update(*rows)
         else:
             model_mod.momentum_update(twin, params)
             if not seeding:
-                pool.enqueue(*own)
+                keypool_mod.enqueue_group(pools, *own)
     return terms
 
 
@@ -260,11 +311,33 @@ class _Batcher:
         return out
 
 
+def group_key(cfg: RunConfig) -> tuple[str, bool]:
+    """What a fit group's configs share: every field but the seed and the three loss weights, and ``contrastive``."""
+    return repr(replace(cfg, seed=0, losses=replace(cfg.losses, ce=0.0, cce=0.0, ccl=0.0))), cfg.losses.contrastive
+
+
 def fit(cfg: RunConfig) -> TrainRun:
-    """Warm up, train for cfg.optimizer.iterations steps, log, evaluate."""
+    """Warm up, train for cfg.optimizer.iterations steps, log, evaluate: a fit group of one."""
+    return fit_group([cfg])[0]
+
+
+def fit_group(cfgs: Sequence[RunConfig]) -> list[TrainRun]:
+    """Fit configs that differ only in seed and loss weights on one tape; their runs in input order.
+
+    Each config is one replica, and each run equals its own serial fit
+    bit for bit; the configs must share a ``group_key``. A group of one
+    builds the unstacked tape. Raises ``ReplicaMismatch`` when the
+    replicas' data or key batches stop agreeing in shape.
+    """
     started = time.perf_counter()
-    streams = run_streams(cfg)
-    train, val = prepare_data(cfg)
+    cfg, stacked = cfgs[0], len(cfgs) > 1
+    if stacked and len({group_key(c) for c in cfgs}) > 1:
+        raise ValueError("a fit group's configs may differ only in seed and loss weights")
+    streams = [run_streams(c) for c in cfgs]
+    trains, vals = zip(*(prepare_data(c) for c in cfgs))
+    train = trains[0]
+    if len({(len(t), t.in_dim, t.class_count) for t in trains}) > 1:
+        raise ReplicaMismatch(f"replicas hold training sets of sizes {[len(t) for t in trains]}")
 
     dims = ModelDims(
         in_dim=train.in_dim,
@@ -273,51 +346,69 @@ def fit(cfg: RunConfig) -> TrainRun:
         class_count=train.class_count,
         projector_dim=cfg.model.projector_dim,
     )
-    params = model_mod.init_params(dims, np.random.default_rng(streams["init"]), classifier_bias=cfg.model.classifier_bias)
+    params = model_mod.stack([
+        model_mod.init_params(dims, np.random.default_rng(s["init"]), classifier_bias=cfg.model.classifier_bias)
+        for s in streams
+    ])
     twin = model_mod.init_twin(params, cfg.keys.momentum)
     if cfg.keys.generator == "membank":
-        pool: MocoQueues | MemoryBank = MemoryBank(train.labels, cfg.keys.bank_momentum, cfg.keys.bank_uniform)
+        pools: list[MocoQueues | MemoryBank] = [
+            MemoryBank(t.labels, cfg.keys.bank_momentum, cfg.keys.bank_uniform) for t in trains
+        ]
     else:
-        pool = MocoQueues(train.class_count, cfg.keys.queue_size)
+        pools = [MocoQueues(t.class_count, cfg.keys.queue_size) for t in trains]
 
-    if cfg.losses.contrastive and (cfg.keys.warmup_mode == "prefill" or isinstance(pool, MemoryBank)):
-        warmup(twin, pool, train)  # the bank twin never moves, so a deferred bank warm-up is this one
+    if cfg.losses.contrastive and (cfg.keys.warmup_mode == "prefill" or isinstance(pools[0], MemoryBank)):
+        for view, pool, t in zip(twin.replicas(), pools, trains):
+            warmup(view, pool, t)  # the bank twin never moves, so a deferred bank warm-up is this one
 
     opt = init_optimizer(params, cfg)
-    batcher = _Batcher(len(train), cfg.optimizer.batch_size, np.random.default_rng(streams["batch"]))
-    sample_rng = np.random.default_rng(streams["sample"])
+    batchers = [
+        _Batcher(len(t), cfg.optimizer.batch_size, np.random.default_rng(s["batch"])) for t, s in zip(trains, streams)
+    ]
+    sample_rngs = [np.random.default_rng(s["sample"]) for s in streams]
+    # step takes a group's pools, configs and generators as sequences, a lone fit's as they are
+    step_pool, step_cfg, step_rng = (pools, cfgs, sample_rngs) if stacked else (pools[0], cfg, sample_rngs[0])
 
-    log: list[MetricRow] = [MetricRow(iteration=0, val_acc=evaluate(params, val))]
-    best = log[0].val_acc
+    def accuracies() -> list[float]:
+        return [evaluate(view, val) for view, val in zip(params.replicas(), vals)]
+
+    logs = [[MetricRow(iteration=0, val_acc=acc)] for acc in accuracies()]
+    best = [log[0].val_acc for log in logs]
     iterations = cfg.optimizer.iterations
     for it in range(1, iterations + 1):
         advance_schedule(opt, it)
-        idx = batcher.next()
-        batch = (train.features[idx], train.labels[idx], idx)
-        terms = step(params, twin, pool, batch, opt, cfg, sample_rng)
+        picks = [b.next() for b in batchers]
+        batch = _stack([(t.features[idx], t.labels[idx], idx) for t, idx in zip(trains, picks)])
+        terms = step(params, twin, step_pool, batch, opt, step_cfg, step_rng)
 
         due_log = it % cfg.log_every == 0
         due_eval = it % cfg.eval_every == 0 or it == iterations
         if due_log or due_eval:
-            vals = terms.values()
-            row = MetricRow(iteration=it, ce=vals["ce"], cce=vals["cce"], ccl=vals["ccl"], total=vals["total"])
-            if due_eval:
-                row.val_acc = evaluate(params, val)
-                best = max(best, row.val_acc)
-            log.append(row)
+            accs = accuracies() if due_eval else [None] * len(cfgs)
+            for r, (log, acc) in enumerate(zip(logs, accs)):
+                row = MetricRow(iteration=it, **terms.values(r if stacked else None))
+                if due_eval:
+                    row.val_acc = acc
+                    best[r] = max(best[r], acc)
+                log.append(row)
 
-    return TrainRun(
-        config=cfg,
-        seed=cfg.seed,
-        iterations=iterations,
-        metric_log=log,
-        final_val_acc=log[-1].val_acc,  # the last iteration always evaluates
-        best_val_acc=best,
-        wall_seconds=time.perf_counter() - started,
-        params=params,
-        twin=twin,
-        pool=pool,
-    )
+    wall = time.perf_counter() - started
+    return [
+        TrainRun(
+            config=c,
+            seed=c.seed,
+            iterations=iterations,
+            metric_log=log,
+            final_val_acc=log[-1].val_acc,  # the last iteration always evaluates
+            best_val_acc=b,
+            wall_seconds=wall,
+            params=p,
+            twin=tw,
+            pool=pool,
+        )
+        for c, log, b, p, tw, pool in zip(cfgs, logs, best, params.replicas(), twin.replicas(), pools)
+    ]
 
 
 def _fmt(x: float | None) -> str:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 import dualhead.trainer as trainer_mod
-from dualhead.cli import main
+from dualhead.cli import _fit_many, main
 from dualhead.config import RunConfig, validate_config
 from dualhead.gradcheck import run_gradcheck
 from dualhead.keypool import KeyBatch, MemoryBank, MocoQueues
@@ -205,16 +205,15 @@ def test_criterion_4_ablation_direction():
     """
     started = time.perf_counter()
     seeds = range(5)
-    table = {}
-    for name, weights in (
+    rows = (
         ("ce", (1, 0, 0)),
         ("ce+cce", (1, 1, 0)),
         ("ce+ccl", (1, 0, 1)),
         ("cce+ccl", (0, 1, 1)),
         ("all", (1, 1, 1)),
-    ):
-        accs = [trainer_mod.fit(rings_cfg(weights, s)).final_val_acc for s in seeds]
-        table[name] = float(np.mean(accs))
+    )
+    runs = iter(_fit_many([rings_cfg(weights, s) for _, weights in rows for s in seeds]))  # grouped, in input order
+    table = {name: float(np.mean([next(runs).final_val_acc for _ in seeds])) for name, _ in rows}
     elapsed = time.perf_counter() - started
 
     assert table["all"] >= table["ce"], table
@@ -230,10 +229,9 @@ def test_criterion_4_ablation_direction():
 def test_criterion_5_key_generator_parity():
     started = time.perf_counter()
     seeds = (0, 1, 2)
-    means = {}
-    for gen in ("moco", "membank"):
-        accs = [trainer_mod.fit(blobs_cfg((1, 1, 1), s, generator=gen)).final_val_acc for s in seeds]
-        means[gen] = float(np.mean(accs))
+    gens = ("moco", "membank")
+    runs = iter(_fit_many([blobs_cfg((1, 1, 1), s, generator=gen) for gen in gens for s in seeds]))
+    means = {gen: float(np.mean([next(runs).final_val_acc for _ in seeds])) for gen in gens}
     elapsed = time.perf_counter() - started
     gap = abs(means["moco"] - means["membank"])
     assert gap <= 0.02, means

@@ -684,18 +684,28 @@ class TestSweepCommand:
 
 
 class TestFitMany:
-    """``ablate`` and ``sweep`` run their fits on the calling thread, in input order."""
+    """``ablate`` and ``sweep`` run their fits on the calling thread, each config once, in groups that share a shape.
+
+    A group of one goes to ``trainer.fit``, a larger one to ``trainer.fit_group``;
+    groups run in order of their first config, each in input order.
+    """
 
     @pytest.fixture
     def fits(self, monkeypatch):
         calls = []
-        real_fit = trainer_mod.fit
+        real_fit, real_group = trainer_mod.fit, trainer_mod.fit_group
 
         def spy(cfg):
-            calls.append((threading.get_ident(), cfg))
+            calls.append((threading.get_ident(), [cfg]))
             return real_fit(cfg)
 
+        def group_spy(cfgs):
+            if len(cfgs) > 1:  # trainer.fit is a group of one
+                calls.append((threading.get_ident(), list(cfgs)))
+            return real_group(cfgs)
+
         monkeypatch.setattr(trainer_mod, "fit", spy)
+        monkeypatch.setattr(trainer_mod, "fit_group", group_spy)
         return calls
 
     def test_ablate_fits_in_order_on_calling_thread(self, tmp_path, fits):
@@ -704,9 +714,14 @@ class TestFitMany:
             "--jobs", "2", *FAST_TRAIN, "--set", "optimizer.iterations=3",
         ])
         assert code == 0
-        assert [ident for ident, _ in fits] == [threading.get_ident()] * 20
-        got = [(cfg.losses.weights(), cfg.dataset.sampling_rate, cfg.seed) for _, cfg in fits]
-        assert got == [(combo, rate, seed) for combo in ABLATION_COMBOS for rate in (0.5, 0.25) for seed in (1, 0)]
+        assert [ident for ident, _ in fits] == [threading.get_ident()] * 4
+        got = [[(cfg.losses.weights(), cfg.dataset.sampling_rate, cfg.seed) for cfg in group] for _, group in fits]
+        ce, contrastive = ABLATION_COMBOS[:1], ABLATION_COMBOS[1:]
+        assert got == [
+            [(combo, rate, seed) for combo in combos for seed in (1, 0)]
+            for combos in (ce, contrastive)
+            for rate in (0.5, 0.25)
+        ]
 
     def test_sweep_fits_in_order_on_calling_thread(self, tmp_path, fits):
         code = main([
@@ -714,8 +729,9 @@ class TestFitMany:
             "--seeds", "1", "0", "--jobs", "4", *FAST_TRAIN, "--set", "optimizer.iterations=3",
         ])
         assert code == 0
-        assert [ident for ident, _ in fits] == [threading.get_ident()] * 4
-        assert [(cfg.losses.tau, cfg.seed) for _, cfg in fits] == [(0.07, 1), (0.07, 0), (0.2, 1), (0.2, 0)]
+        assert [ident for ident, _ in fits] == [threading.get_ident()] * 2
+        got = [[(cfg.losses.tau, cfg.seed) for cfg in group] for _, group in fits]
+        assert got == [[(0.07, 1), (0.07, 0)], [(0.2, 1), (0.2, 0)]]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     @pytest.mark.parametrize("command", [

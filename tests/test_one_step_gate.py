@@ -62,9 +62,9 @@ def one_step(state: StepState, old_chain: bool) -> tuple[dict[str, np.ndarray], 
     grads, ops = {}, []
     real_sgd_apply, real_from_op = trainer.sgd_apply, nd._from_op
 
-    def recording_sgd_apply(params, opt):
+    def recording_sgd_apply(params, opt, *rest):
         grads.update({name: t.grad.copy() for name, t in params.named_parameters() if t.grad is not None})
-        real_sgd_apply(params, opt)
+        real_sgd_apply(params, opt, *rest)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(trainer, "sgd_apply", recording_sgd_apply)

@@ -1,13 +1,15 @@
-"""ndgrad's replica axis: finite differences from one stacked forward per instance.
+"""ndgrad's replica axis: stacked forwards and backwards, and finite differences from one stacked forward.
 
 Every leaf's difference quotients, all from one stacked forward over the
 instance's leaves, must be the coordinate loop's
 (``unfused.finite_difference``) bit for bit on every gradcheck case, and
-the explicit ``stacked`` mark must keep every op's shape contract: a
-replica axis is never guessed from rank, and it never reaches backward.
-Each op has one forward for both forms, so a per-op gate draws random
-calls, stacked operands laid out as a gather leaves them, and checks
-every replica of the result against the unstacked op, bit for bit.
+that forward builds no tape. The explicit ``stacked`` mark must keep
+every op's shape contract: a replica axis is never guessed from rank.
+Each op has one forward and one backward for both forms, so per-op gates
+draw random calls, stacked operands laid out as a gather leaves them,
+and check every replica of the result, and of each stacked operand's
+gradient, against the unstacked op on that replica, bit for bit; an
+unstacked operand's gradient is the sum of the replicas', in order.
 """
 
 import types
@@ -124,17 +126,38 @@ class TestTheMarkIsExplicit:
         for r in range(3):
             np.testing.assert_array_equal(out.data[r], op(Tensor(a.data[r]), b).data)
 
-    def test_backward_on_a_stacked_result_raises(self):
-        a = stacked(np.ones((4, 2, 3)))
-        out = nd.sum(a)
+    def test_backward_on_a_stacked_loss_gives_each_replica_its_own_gradient(self):
+        rng = np.random.default_rng(0)
+        data, weights = rng.normal(size=(4, 2, 3)), rng.normal(size=(4, 2, 3))
+        a = stacked(data)
+        a.grad_enabled = True
+        out = nd.sum(nd.mul(a, stacked(weights)))
         assert out.stacked and out.shape == (4,)
-        with pytest.raises(ShapeError, match="stacked"):
-            out.backward()
+        out.backward()
+        for r in range(4):
+            ar = Tensor(data[r], grad_enabled=True)
+            nd.sum(nd.mul(ar, Tensor(weights[r]))).backward()
+            np.testing.assert_array_equal(a.grad[r], ar.grad)
+        with pytest.raises(ShapeError, match="scalar per replica"):
+            nd.mul(a, stacked(weights)).backward()
 
-    def test_stacked_results_join_no_tape(self):
+    def test_stacked_results_join_the_tape(self):
         w = Tensor(np.ones((3, 2)), grad_enabled=True)
-        out = nd.linear(stacked(np.ones((4, 2, 3))), w)
-        assert out.stacked and not out.grad_enabled and out._parents == ()
+        x = stacked(np.ones((4, 2, 3)))
+        out = nd.linear(x, w)
+        assert out.stacked and out.grad_enabled and out._parents == (x, w)
+        nd.sum(out).backward()
+        np.testing.assert_array_equal(w.grad, np.full((3, 2), 8.0))  # the four replicas' gradients, summed
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_finite_difference_forwards_build_no_tape(self, name, monkeypatch):
+        forward, wrt = CASES[name](np.random.default_rng(0))
+        built, real = [], nd._from_op
+        monkeypatch.setattr(nd, "_from_op", lambda *args: built.append(real(*args)) or built[-1])
+        finite_difference(forward, wrt)
+        assert built and all(t.stacked for t in built), name
+        assert not any(t.grad_enabled or t._parents for t in built), name
+        assert all(t.grad_enabled for t in wrt)
 
 
 R = 4
@@ -161,6 +184,10 @@ class TestFixedRankOpsCheckEachReplica:
             nd.select_rows(stacked(np.ones((R, 5))), [0, 1])
         with pytest.raises(IndexError):  # the row count is each replica's, not R
             nd.select_rows(stacked(np.ones((R, 2, 3))), [3])
+        with pytest.raises(ShapeError):  # one index row per replica needs a stacked operand
+            nd.select_rows(Tensor(np.ones((2, 3))), np.zeros((R, 2), dtype=int))
+        with pytest.raises(ShapeError):
+            nd.select_rows(stacked(np.ones((R, 2, 3))), np.zeros((R + 1, 2), dtype=int))
 
     def test_row_dot_slab(self):
         slab = np.ones((2, 5, 3))
@@ -172,6 +199,16 @@ class TestFixedRankOpsCheckEachReplica:
             nd.row_dot_slab(Tensor(np.ones((2, 3))), slab, live0=stacked(np.ones((R, 3, 3))))
         with pytest.raises(ShapeError):
             nd.row_dot_slab(Tensor(np.ones((2, 3))), slab, live0=Tensor(np.ones((R, 2, 3))))
+        with pytest.raises(ShapeError):  # one slab per replica needs a stacked result
+            nd.row_dot_slab(Tensor(np.ones((2, 3))), np.ones((R, 2, 5, 3)))
+        with pytest.raises(ShapeError):
+            nd.row_dot_slab(stacked(np.ones((R, 2, 3))), np.ones((R + 1, 2, 5, 3)))
+
+    def test_scale_by_scalar(self):
+        with pytest.raises(ShapeError):  # one scale per replica needs a stacked operand
+            nd.scale_by_scalar(Tensor(np.ones(R)), np.ones(R))
+        with pytest.raises(ShapeError):
+            nd.scale_by_scalar(stacked(np.ones(R)), np.ones(R + 1))
 
     def test_row_l2_normalize(self):
         with pytest.raises(ShapeError):
@@ -180,8 +217,10 @@ class TestFixedRankOpsCheckEachReplica:
     def test_masked_nll(self):
         with pytest.raises(ShapeError):
             nd.masked_nll(stacked(np.ones((R, 3))), np.ones(3), 1.0)
-        with pytest.raises(ShapeError):  # the mask covers one replica, not the stack
-            nd.masked_nll(stacked(np.ones((R, 2, 3))), np.ones((R, 2, 3)), 1.0)
+        with pytest.raises(ShapeError):  # the mask covers one replica or each replica, not a wider stack
+            nd.masked_nll(stacked(np.ones((R, 2, 3))), np.ones((R + 1, 2, 3)), 1.0)
+        with pytest.raises(ShapeError):  # an unstacked score matrix takes no replica axis on its mask
+            nd.masked_nll(Tensor(np.ones((2, 3))), np.ones((R, 2, 3)), 1.0)
 
 
 class TestFailuresNameTheReplica:
@@ -293,3 +332,81 @@ def test_select_rows_never_shares_its_operand_memory(make):
     a = make(np.arange(12.0).reshape(4, 3))
     out = nd.select_rows(a, [1, 1, 3])
     assert not np.shares_memory(out.data, a.data)
+
+
+def training_form(name, rng):
+    """One random call of an op in a form training runs, constants drawn per replica where training has them.
+
+    Returns ``call(operands, r)``: replica r's unstacked call, or with r None the stacked call; the
+    operand shapes; and which operands must be stacked for the per-replica constants.
+    """
+    b, d, k, n = (int(v) for v in rng.integers(1, 12, size=4))
+    if name == "linear":
+        w_rows, bias = bool(rng.integers(2)), bool(rng.integers(2))
+        shapes = [(b, d), (k, d) if w_rows else (d, k)] + [(k,)] * bias
+        return lambda ops, r: nd.linear(*ops, w_rows=w_rows), shapes, []
+    if name in ("add", "mul"):
+        shape = (b, d) if rng.integers(2) else ()  # the joint total adds one loss per replica
+        return lambda ops, r: getattr(nd, name)(*ops), [shape, shape], []
+    if name == "scale_by_scalar":
+        s = rng.choice([0.0, 1.0, 0.5, float(rng.normal())], size=R)  # loss weights, zeros and ones included
+        shape = () if rng.integers(2) else (b, d)
+        return lambda ops, r: nd.scale_by_scalar(*ops, s if r is None else s[r]), [shape], [0]
+    if name in ("relu", "sum", "row_l2_normalize"):
+        return lambda ops, r: getattr(nd, name)(*ops), [(b, d)], []
+    if name == "select_rows":
+        idx = rng.integers(0, b, size=(R, k + 1))
+        idx[:, -1] = idx[:, 0]  # at least one duplicate in each replica
+        return lambda ops, r: nd.select_rows(*ops, idx if r is None else idx[r]), [(b, d)], [0]
+    if name == "row_dot_slab":
+        slab = rng.normal(size=(R, b, n, d))
+        live0 = bool(rng.integers(2))
+        return (lambda ops, r: nd.row_dot_slab(ops[0], slab if r is None else slab[r], *ops[1:]),
+                [(b, d)] * (1 + live0), [])
+    if name == "masked_nll":
+        mask = (rng.random((R, b, n)) < 0.5) * rng.integers(1, 4, size=(R, b, n)).astype(float)
+        scale = float(rng.normal())
+        inv_tau = 1.0 if rng.integers(2) else float(rng.uniform(1.0, 20.0))
+        return lambda ops, r: nd.masked_nll(*ops, mask if r is None else mask[r], scale, inv_tau), [(b, n)], [0]
+    raise KeyError(name)
+
+
+def grad_bytes(t: Tensor) -> bytes | None:
+    return None if t.grad is None else np.ascontiguousarray(t.grad).tobytes()
+
+
+@pytest.mark.parametrize("name", OPS)
+def test_each_replica_s_gradient_is_the_unstacked_backward_bit_for_bit(name):
+    rng = np.random.default_rng(100 + OPS.index(name))
+    for trial in range(300):
+        call, shapes, must = training_form(name, rng)
+        flags = rng.integers(2, size=len(shapes)).astype(bool)
+        flags[must] = True
+        flags[rng.integers(len(shapes))] = True  # at least one operand stacked
+        arrays = [gathered(rng, s) if s and f else rng.normal(size=(R, *s) if f else s) for s, f in zip(shapes, flags)]
+        if name == "row_l2_normalize":
+            arrays = [near_floor(rng, a) for a in arrays]
+        operands = []
+        for a, f in zip(arrays, flags):
+            t = stacked(a) if f else Tensor(a)
+            t.grad_enabled = True
+            operands.append(t)
+        got = call(operands, None)
+        assert got.stacked and got.grad_enabled and got.shape[0] == R
+        g = rng.normal(size=got.shape)
+        got._backward(g)
+        shared = [None] * len(operands)
+        for r in range(R):
+            mine = [Tensor(a[r] if f else a, grad_enabled=True) for a, f in zip(arrays, flags)]
+            want = call(mine, r)
+            where = f"trial {trial} replica {r}"
+            np.testing.assert_array_equal(got.data[r], want.data, err_msg=where)
+            want._backward(np.asarray(g[r]))
+            for i, (t, t_r, f) in enumerate(zip(operands, mine, flags)):
+                if f:
+                    assert (None if t.grad is None else t.grad[r].tobytes()) == grad_bytes(t_r), f"{where} operand {i}"
+                elif t_r.grad is not None:
+                    shared[i] = t_r.grad.copy() if shared[i] is None else shared[i] + t_r.grad
+        for i, (t, total) in enumerate(zip(operands, shared)):
+            if not flags[i]:  # an unstacked operand gets its replicas' gradients summed in replica order
+                assert grad_bytes(t) == (None if total is None else total.tobytes()), f"trial {trial} operand {i}"
