@@ -22,9 +22,11 @@ state after, are exactly those of one ``rng.integers(0, n_c, size=k)``
 call per (query, non-empty class c), queries in batch order and classes
 ascending, each pick shifted by its class's segment start. A bank built
 with ``uniform=True`` draws as many keys from all its snapshots as one
-segment, one call per query. A fit group samples and enqueues its
-replicas' pools through ``sample_group`` and ``enqueue_group``: one draw
-per pool with that replica's generator, one stacked block. Unit norm is
+segment, one call per query. Training samples and enqueues through
+``sample_group`` and ``enqueue_group``, one pool per replica of a fit
+group (a lone fit is a group of one): one draw per pool with that
+replica's generator, one stacked block. A pool's own ``sample`` and
+``enqueue`` are those calls for a group of one. Unit norm is
 checked once per enqueued, installed, mixed-in or gathered block (a
 group's stacked block counts as one), and every norm here is
 ``ndgrad.row_norms``: a non-finite norm raises ``NonFiniteError`` and a
@@ -60,8 +62,7 @@ def _key_rows(h, z, labels, stacked: bool = False) -> tuple[np.ndarray, np.ndarr
     """(n x d), (n x L) and (n,) key rows as arrays, behind a leading replica axis if ``stacked``."""
     h, z, labels = np.asarray(h, dtype=np.float64), np.asarray(z, dtype=np.float64), np.asarray(labels, dtype=np.int64)
     lead = 1 + stacked
-    ranks = (h.ndim, z.ndim, labels.ndim)
-    if ranks != (lead + 1, lead + 1, lead) or not h.shape[:-1] == z.shape[:-1] == labels.shape:
+    if (h.ndim, z.ndim, labels.ndim) != (lead + 1, lead + 1, lead) or not h.shape[:-1] == z.shape[:-1] == labels.shape:
         where = " per replica" if stacked else ""
         raise ValueError(f"need (n x d), (n x L) and (n,) key rows{where}, got {h.shape}, {z.shape}, {labels.shape}")
     return h, z, labels
@@ -120,16 +121,11 @@ class KeyBatch:
         return self.labels == np.asarray(labels, dtype=np.int64)[..., None]
 
 
-def _with_queries(queries, h: np.ndarray, z: np.ndarray, labels: np.ndarray, stacked: bool = False) -> KeyBatch:
-    """Put each query's own key in slot 0 ahead of its drawn keys, then check every row (of every replica)."""
-    h_q, z_q, y = _key_rows(*queries, stacked)
-    batch = KeyBatch(
-        h_keys=np.concatenate([h_q[..., None, :], h], axis=-2),
-        z_keys=np.concatenate([z_q[..., None, :], z], axis=-2),
-        labels=np.concatenate([y[..., None], labels], axis=-1),
-    )
-    _check_unit(h_keys=batch.h_keys, z_keys=batch.z_keys)
-    return batch
+def _sample(pool, keys_per_class: int, h_query, z_query, labels, rng: np.random.Generator) -> KeyBatch:
+    """One pool's draw for its (n x d), (n x L) and (n,) queries: ``sample_group`` for a group of one, unstacked."""
+    queries = (rows[None] for rows in _key_rows(h_query, z_query, labels))
+    batch = sample_group([pool], keys_per_class, *queries, [rng])
+    return KeyBatch(batch.h_keys[0], batch.z_keys[0], batch.labels[0])
 
 
 class MocoQueues:
@@ -153,11 +149,8 @@ class MocoQueues:
         return [KeyEntry(self._h[label, s].copy(), self._z[label, s].copy(), label) for s in slots]
 
     def enqueue(self, h: np.ndarray, z: np.ndarray, labels: np.ndarray) -> None:
-        """Append each row to its class buffer in order, evicting the oldest at capacity."""
-        h, z, labels = _key_rows(h, z, labels)
-        self._check_labels(labels)
-        _check_unit(h_key=h, z_key=z)
-        self._push(h, z, labels)
+        """Append each row to its class buffer in order, evicting the oldest at capacity: a group of one."""
+        enqueue_group([self], *(rows[None] for rows in _key_rows(h, z, labels)))
 
     def _check_labels(self, labels: np.ndarray) -> None:
         outside = labels[(labels < 0) | (labels >= self.class_count)]
@@ -181,9 +174,7 @@ class MocoQueues:
                 block[q - k:] = new[keep]
             self._fill[c] = min(int(self._fill[c]) + k, q)
 
-    def sample(self, keys_per_class: int, h_query, z_query, labels, rng: np.random.Generator) -> KeyBatch:
-        """Draw keys_per_class keys from every non-empty class for each query."""
-        return _with_queries((h_query, z_query, labels), *self._drawn(keys_per_class, len(labels), rng))
+    sample = _sample  # keys_per_class keys from every non-empty class for each query
 
     def _drawn(self, keys_per_class: int, queries: int, rng: np.random.Generator):
         """The (queries x K) drawn keys and their labels, from one draw: sample's keys behind slot 0."""
@@ -252,9 +243,7 @@ class MemoryBank:
         _check_unit(h_snapshot=h, z_snapshot=z)
         self.h_snap[idx], self.z_snap[idx] = h, z
 
-    def sample(self, keys_per_class: int, h_query, z_query, labels, rng: np.random.Generator) -> KeyBatch:
-        """Same contract as MocoQueues.sample, drawn from the snapshots by the bank's own rule."""
-        return _with_queries((h_query, z_query, labels), *self._drawn(keys_per_class, len(labels), rng))
+    sample = _sample  # MocoQueues.sample's contract, drawn from the snapshots by the bank's own rule
 
     def _drawn(self, keys_per_class: int, queries: int, rng: np.random.Generator):
         """The (queries x K) drawn snapshots and their labels, from one draw: sample's keys behind slot 0."""
@@ -270,27 +259,30 @@ class MemoryBank:
 
 
 def sample_group(pools, keys_per_class: int, h_query, z_query, labels, rngs) -> KeyBatch:
-    """Each replica's pool sampled for that replica's queries with its own generator, as one stacked KeyBatch.
+    """Each replica's pool sampled for its stacked (n x d), (n x L) and (n,) queries with its own generator.
 
-    Every pool makes its own one draw, so each stream is the one its
-    ``sample`` call would make; the slot-0 keys go in, and the unit check
-    runs, once for the whole stack. A lone pool is sampled as it is, its
-    arrays unstacked. Raises ``ReplicaMismatch`` when the pools draw
-    different numbers of keys (queues whose non-empty classes differ).
+    Every pool makes its own one draw, so each stream is its ``sample`` call's. Each replica's own and drawn
+    keys go once into one (S x B x (K+1) x d) block, slot 0 first, unit-checked once. Raises
+    ``ReplicaMismatch`` when the pools draw different numbers of keys (queues whose non-empty classes differ).
     """
-    if len(pools) == 1:
-        return pools[0].sample(keys_per_class, h_query, z_query, labels, rngs[0])
-    drawn = [pool._drawn(keys_per_class, len(y), rng) for pool, y, rng in zip(pools, labels, rngs)]
+    queries = _key_rows(h_query, z_query, labels, stacked=True)
+    drawn = [pool._drawn(keys_per_class, queries[2].shape[1], rng) for pool, rng in zip(pools, rngs)]
     if len({d[2].shape for d in drawn}) > 1:
         raise ReplicaMismatch(f"replicas drew key blocks of shapes {[d[2].shape for d in drawn]}")
-    return _with_queries((h_query, z_query, labels), *(np.array(a) for a in zip(*drawn)), stacked=True)
+    blocks = []
+    for own, keys in zip(queries, zip(*drawn)):
+        block = np.empty((*own.shape[:2], keys[0].shape[1] + 1, *own.shape[2:]), dtype=own.dtype)
+        block[:, :, 0] = own
+        for r, replica_keys in enumerate(keys):
+            block[r, :, 1:] = replica_keys
+        blocks.append(block)
+    h, z, labels = blocks
+    _check_unit(h_keys=h, z_keys=z)
+    return KeyBatch(h, z, labels)
 
 
 def enqueue_group(pools: list[MocoQueues], h, z, labels) -> None:
-    """Each replica's key rows into its own queues, unit-checked once for the stack; a lone pool as it is."""
-    if len(pools) == 1:
-        pools[0].enqueue(h, z, labels)
-        return
+    """Each replica's stacked (n x d), (n x L) and (n,) key rows into its own queues, unit-checked once."""
     h, z, labels = _key_rows(h, z, labels, stacked=True)
     for pool, y in zip(pools, labels):
         pool._check_labels(y)

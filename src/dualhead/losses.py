@@ -63,8 +63,9 @@ class LossTerms:
 
     ``h_norm`` is the unit-normalized feature ``objective`` built for
     ``cce`` (None when ``cce`` is off), so a caller needing it again
-    reuses it instead of normalizing twice. A stacked batch's weights are
-    three (R,) vectors, one weight per replica each.
+    reuses it instead of normalizing twice. A term's weight is a float,
+    or for a stacked batch whose replicas weight it differently an (R,)
+    vector, one weight per replica.
     """
 
     ce: Tensor | None = None
@@ -74,15 +75,13 @@ class LossTerms:
     weights: tuple = (1.0, 1.0, 1.0)
     h_norm: Tensor | None = None
 
-    def values(self, replica: int | None = None) -> dict[str, float | None]:
-        """Each term's value, None where it is off; ``replica`` reads one replica of a stacked batch."""
+    def values(self, replica: int) -> dict[str, float | None]:
+        """One replica's value of each term of a stacked batch, None where that replica's weight is 0."""
 
         def val(t: Tensor | None, w=None) -> float | None:
-            if t is None:
+            if t is None or isinstance(w, np.ndarray) and w[replica] == 0.0:
                 return None
-            if replica is None:
-                return t.item()
-            return None if w is not None and w[replica] == 0.0 else float(t.data[replica])
+            return float(t.data[replica])
 
         ce, cce, ccl = (val(t, w) for t, w in zip((self.ce, self.cce, self.ccl), self.weights))
         return {"ce": ce, "cce": cce, "ccl": ccl, "total": val(self.total)}
@@ -239,18 +238,19 @@ def objective(
     W: Tensor,
     keys: KeyBatch | None,
     cfg: LossesConfig,
-    weights: np.ndarray | None = None,
+    weights: tuple | None = None,
 ) -> LossTerms:
     """The enabled terms of the joint loss and their total, as ``cfg`` weights them.
 
     ``h`` is the raw feature (``cce`` normalizes it), ``z`` the unit
     projection, ``W`` the classifier prototypes; ``z`` may be None when
     ``ccl`` is off, and ``keys`` when both contrastive terms are off.
-    A stacked batch passes ``weights``, one (ce, cce, ccl) row per
-    replica, in place of cfg's.
+    A fit passes ``weights`` in place of cfg's, resolved once for all
+    its steps: per term a float where every replica agrees, else an (R,)
+    vector with one weight per replica.
     ``terms.total`` is set, and ``terms.h_norm`` when ``cce`` is on.
     """
-    terms = LossTerms(weights=cfg.weights() if weights is None else tuple(np.asarray(weights, dtype=np.float64).T))
+    terms = LossTerms(weights=cfg.weights() if weights is None else weights)
     w_ce, w_cce, w_ccl = terms.weights
     if _on(w_ce):
         terms.ce = ce(logits, labels, reduction=cfg.reduction)

@@ -108,9 +108,7 @@ class ModelParams:
         return list(self._named)
 
     def replicas(self) -> list[ModelParams]:
-        """One unstacked layout per replica, each over its row of ``flat``; just this one when unstacked."""
-        if not self.stacked:
-            return [self]
+        """One unstacked layout per replica of a stacked layout, each over its row of ``flat``."""
         out = []
         for row in self.flat:
             view = copy.copy(self)
@@ -135,9 +133,7 @@ class MomentumTwin(ModelParams):
 
 
 def stack(replicas: list[ModelParams]) -> ModelParams:
-    """One layout stacking the given ones' vectors on the replica axis; a single one as it is."""
-    if len(replicas) == 1:
-        return replicas[0]
+    """One layout stacking the given ones' vectors on the replica axis, a lone one as a stack of one."""
     first = replicas[0]
     params = ModelParams(first.dims, first.classifier_b is not None, len(replicas))
     params.flat[:] = [p.flat for p in replicas]

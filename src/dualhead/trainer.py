@@ -4,8 +4,9 @@ One training step runs a fixed pipeline:
 
 1. live forward pass (features, projection, logits);
 2. key forward pass for the same batch through the momentum twin;
-3. one ``pool.sample`` call for all queries, slot 0 = each query's own
-   keys (its bank snapshot, or its twin keys from stage 2);
+3. one draw from each replica's pool for all its queries
+   (``keypool.sample_group``), slot 0 = each query's own keys (its bank
+   snapshot, or its twin keys from stage 2);
 4. ``losses.objective`` (the enabled terms and their total), backward,
    SGD-with-momentum update of the one parameter vector (weight decay
    folded into the gradient, boosted learning rate for the heads);
@@ -29,14 +30,14 @@ Determinism: a run's randomness comes from the named substreams of the
 run seed in ``run_streams``, so identical config + seed reproduces the
 metric log bit for bit.
 
-Fit groups: ``fit_group`` trains configs that differ only in seed and
-loss weights on one tape, one replica each on ``ndgrad``'s replica axis.
-The parameter vector, the twin and the velocity are (R x P); each
-replica keeps its own data, generators and key pool, and its pool makes
-its own one draw each step (``keypool.sample_group``), so every stream
-is its serial fit's, and each replica's params, pool and metric log are
-its serial fit's bit for bit. ``fit`` is a group of one, which builds
-the unstacked tape.
+Fit groups: every fit is a ``fit_group`` (``fit`` is a group of one),
+which trains configs that differ only in seed and loss weights on one
+tape, one replica each on ``ndgrad``'s replica axis. The parameter
+vector, the twin and the velocity are (R x P); each replica keeps its
+own data, generators and key pool, and its pool makes its own one draw
+each step, so each replica's params, pool and metric log are its serial
+fit's bit for bit. What a fit fixes (the loss weights, the elements each
+replica's update reaches, the stacked training set) is resolved once.
 """
 
 from __future__ import annotations
@@ -52,31 +53,35 @@ from . import keypool as keypool_mod
 from . import losses as losses_mod
 from . import model as model_mod
 from . import ndgrad as nd
-from .config import OptimizerConfig, RunConfig
-from .keypool import MemoryBank, MocoQueues
+from .config import LossesConfig, OptimizerConfig, RunConfig
+from .keypool import KeyBatch, MemoryBank, MocoQueues
 from .model import ModelDims, ModelParams, MomentumTwin
 from .ndgrad import NonFiniteError, ReplicaMismatch, Tensor
 
 
 @dataclass
 class OptimizerState:
-    """SGD-with-momentum state of one run, built from its ``OptimizerConfig``.
+    """SGD-with-momentum state of one fit group, built from its configs.
 
     Weight decay is classic (added to the gradient before the velocity
     update). Head parameters (classifier and projector) train at
     base_lr * head_lr_multiplier; encoder parameters at base_lr. Besides
-    ``config`` the state holds only what a run adds: the resolved
+    ``config`` the state holds only what a fit adds: the resolved
     schedule of (iteration, multiplier) decay points, each applied once
     when its iteration starts; a velocity and a per-element learning-rate
     boost (head_lr_multiplier on the heads, 1 on the encoder), both laid
     out like ``ModelParams.flat`` (the boost one row for every replica);
-    and the running learning-rate multiplier.
+    the loss weights (``_weights``) and the (R x P) mask ``live`` of the
+    elements each replica's update reaches (``_reached``); and the running
+    learning-rate multiplier.
     """
 
     config: OptimizerConfig
     schedule: tuple[tuple[int, float], ...] = ()
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(0))
     boost: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    weights: tuple = (1.0, 1.0, 1.0)
+    live: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     lr_mult: float = 1.0
 
 
@@ -116,12 +121,42 @@ def resolve_schedule(spec, iterations: int) -> tuple[tuple[int, float], ...]:
     return tuple(spec)
 
 
-def init_optimizer(params: ModelParams, cfg: RunConfig) -> OptimizerState:
+def _weights(cfgs: Sequence[RunConfig]) -> tuple:
+    """Each term's weight in a group: a float where every replica agrees, else an (R,) vector, one per replica."""
+    columns = np.array([c.losses.weights() for c in cfgs]).T
+    return tuple(float(w[0]) if (w == w[0]).all() else w for w in columns)
+
+
+def _reached(params: ModelParams, cfg: LossesConfig, weights: tuple) -> np.ndarray:
+    """(R x P) bool: in each replica, the elements of the tensors that its nonzero-weighted terms read.
+
+    The tape's structure, not its values, sets what a term reads, so one probe serves a whole fit: each
+    term's ``Tensor.leaves()`` for a one-row batch through a layout of ones, keys in slot 0 alone.
+    """
+    probe = ModelParams(params.dims, params.classifier_b is not None)
+    probe.flat[:] = 1.0
+    h, z, logits = model_mod.forward_query(probe, Tensor(np.ones((1, params.dims.in_dim))))
+    y = np.zeros(1, dtype=np.int64)
+    keys = KeyBatch(h.data[:, None], z.data[:, None], y[:, None])
+    terms = losses_mod.objective(h, z, logits, y, probe.classifier_W, keys, cfg, (1.0, 1.0, 1.0))
+    names = {id(t): name for name, t in probe.named_parameters()}
+    live = np.zeros(params.flat.shape, dtype=bool)
+    for term, weight in zip((terms.ce, terms.cce, terms.ccl), weights):
+        for leaf in term.leaves():
+            live[:, params.slices[names[id(leaf)]]] |= np.reshape(weight != 0.0, (-1, 1))
+    return live
+
+
+def init_optimizer(params: ModelParams, cfgs: Sequence[RunConfig]) -> OptimizerState:
+    """A fit group's optimizer state: its configs share everything but seed and loss weights."""
+    cfg = cfgs[0]
     boost = np.ones(params.flat.shape[-1])
     for name, span in params.slices.items():
         boost[span] = 1.0 if name.startswith("encoder.") else cfg.optimizer.head_lr_multiplier
     schedule = resolve_schedule(cfg.optimizer.schedule, cfg.optimizer.iterations)
-    return OptimizerState(cfg.optimizer, schedule, np.zeros_like(params.flat), boost)
+    weights = _weights(cfgs)
+    live = _reached(params, cfg.losses, weights)
+    return OptimizerState(cfg.optimizer, schedule, np.zeros_like(params.flat), boost, weights, live)
 
 
 def advance_schedule(opt: OptimizerState, iteration: int) -> None:
@@ -130,23 +165,19 @@ def advance_schedule(opt: OptimizerState, iteration: int) -> None:
             opt.lr_mult *= mult
 
 
-def sgd_apply(params: ModelParams, opt: OptimizerState, reached: dict[str, np.ndarray] | None = None) -> None:
-    """One SGD-momentum update of the parameter vector; consumes and clears gradients.
+def sgd_apply(params: ModelParams, opt: OptimizerState) -> None:
+    """One SGD-momentum update of the stacked parameter vector; consumes and clears gradients.
 
-    Parameters whose gradient was never touched this step are masked out
-    (no decay, no velocity update), mirroring the usual deep-learning convention.
-    On a stacked group the rule holds per replica: ``reached`` gives, for
-    each parameter with a gradient, the replicas whose enabled terms read it.
+    Elements outside ``opt.live`` (tensors that no nonzero-weighted term of
+    their replica reads) get no decay and no velocity update, mirroring the
+    usual deep-learning convention.
     """
     grad = np.zeros_like(params.flat)
-    live = np.zeros(params.flat.shape, dtype=bool)
     for name, t in params.named_parameters():
         if t.grad is not None:
-            span = params.slices[name]
-            grad[..., span] = t.grad.reshape(grad.shape[:-1] + (-1,))
-            live[..., span] = True if reached is None else reached[name][:, None]
+            grad[:, params.slices[name]] = t.grad.reshape(grad.shape[0], -1)
             t.zero_grad()
-    cfg, w, v = opt.config, params.flat, opt.velocity
+    cfg, w, v, live = opt.config, params.flat, opt.velocity, opt.live
     np.copyto(v, v * cfg.sgd_momentum + (grad + cfg.weight_decay * w), where=live)
     np.subtract(w, ((cfg.base_lr * opt.lr_mult) * opt.boost) * v, out=w, where=live)
     if not np.isfinite(w).all():
@@ -154,58 +185,34 @@ def sgd_apply(params: ModelParams, opt: OptimizerState, reached: dict[str, np.nd
         raise NonFiniteError(f"parameter {name} became non-finite after the optimizer step")
 
 
-def _per_replica(a, stacked: bool) -> list:
-    """a's replicas along its leading axis, or [a] itself unstacked."""
-    return list(a) if stacked else [a]
-
-
-def _stack(rows: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
-    """Each replica's arrays stacked field by field on a leading axis; a lone replica's as they are."""
-    return rows[0] if len(rows) == 1 else tuple(np.array(a) for a in zip(*rows))
-
-
-def _reached(params: ModelParams, terms: losses_mod.LossTerms) -> dict[str, np.ndarray]:
-    """Per parameter, the replicas whose nonzero-weighted terms read it: a stacked tape's "has a gradient"."""
-    names = {id(t): name for name, t in params.named_parameters()}
-    readers: dict[str, list[np.ndarray]] = {}
-    for term, weight in zip((terms.ce, terms.cce, terms.ccl), terms.weights):
-        if term is not None:
-            on = weight != 0.0
-            for leaf in term.leaves():
-                readers.setdefault(names[id(leaf)], []).append(on)
-    return {name: np.logical_or.reduce(ons) for name, ons in readers.items()}
-
-
 def step(
     params: ModelParams,
     twin: MomentumTwin,
-    pool: MocoQueues | MemoryBank,
+    pools: Sequence[MocoQueues | MemoryBank],
     batch: tuple[np.ndarray, np.ndarray, np.ndarray],
     opt: OptimizerState,
-    cfg: RunConfig,
-    rng: np.random.Generator,
+    cfgs: Sequence[RunConfig],
+    rngs: Sequence[np.random.Generator],
 ) -> losses_mod.LossTerms:
-    """One optimization step over (features, labels, training row numbers).
+    """One optimization step of a fit group over (features, labels, training row numbers).
 
-    A stacked group (``params.stacked``) passes its batch arrays on the
-    replica axis and a sequence of one pool, config and generator per
-    replica; its configs agree on everything but seed and loss weights.
+    The batch arrays carry the replica axis, and ``pools``, ``cfgs`` and
+    ``rngs`` hold one pool, config and sampling generator per replica.
+    The configs agree on all but seed and loss weights, read from ``opt``.
     """
     x_np, y, ids = batch
-    stacked = params.stacked
-    pools, cfgs, rngs = (pool, cfg, rng) if stacked else ((pool,), (cfg,), (rng,))
     cfg = cfgs[0]
     contrastive = cfg.losses.contrastive
     bank_mode = isinstance(pools[0], MemoryBank)
 
     x = Tensor(x_np)
-    x.stacked = stacked
+    x.stacked = True
     h_q, z_q, logits = model_mod.forward_query(params, x, project=contrastive)  # nothing reads z in a CE-only step
 
     keys = None
     if contrastive:
-        if bank_mode:  # each query's slot-0 keys
-            own = _stack([p.entry(i) for p, i in zip(pools, _per_replica(ids, stacked))])
+        if bank_mode:  # each query's slot-0 keys: the replicas' h blocks, z blocks and labels
+            own = tuple(zip(*(p.entry(i) for p, i in zip(pools, ids))))
         else:
             own = (*model_mod.forward_key(twin, x), y)
         seeding = len(pools[0]) == 0 and cfg.keys.warmup_mode == "defer"  # an empty bank has already raised in entry
@@ -213,16 +220,14 @@ def step(
             keypool_mod.enqueue_group(pools, *own)
         keys = keypool_mod.sample_group(pools, cfg.keys.keys_per_class, *own, rngs)
 
-    weights = np.array([c.losses.weights() for c in cfgs]) if stacked else None
-    terms = losses_mod.objective(h_q, z_q, logits, y, params.classifier_W, keys, cfg.losses, weights)
-    reached = _reached(params, terms) if stacked else None
+    terms = losses_mod.objective(h_q, z_q, logits, y, params.classifier_W, keys, cfg.losses, opt.weights)
     terms.total.backward()
-    sgd_apply(params, opt, reached)
+    sgd_apply(params, opt)
 
     if contrastive:
         if bank_mode:
             h_norm = terms.h_norm.data if terms.h_norm is not None else h_q.data / nd.row_norms(h_q.data, "h")
-            for p, *rows in zip(pools, *(_per_replica(a, stacked) for a in (ids, h_norm, z_q.data))):
+            for p, *rows in zip(pools, ids, h_norm, z_q.data):
                 p.update(*rows)
         else:
             model_mod.momentum_update(twin, params)
@@ -325,13 +330,14 @@ def fit_group(cfgs: Sequence[RunConfig]) -> list[TrainRun]:
     """Fit configs that differ only in seed and loss weights on one tape; their runs in input order.
 
     Each config is one replica, and each run equals its own serial fit
-    bit for bit; the configs must share a ``group_key``. A group of one
-    builds the unstacked tape. Raises ``ReplicaMismatch`` when the
-    replicas' data or key batches stop agreeing in shape.
+    bit for bit; the configs must share a ``group_key``. A group of one,
+    a lone fit, trains the same stacked tape at R = 1. Raises
+    ``ReplicaMismatch`` when the replicas' data or key batches stop
+    agreeing in shape.
     """
     started = time.perf_counter()
-    cfg, stacked = cfgs[0], len(cfgs) > 1
-    if stacked and len({group_key(c) for c in cfgs}) > 1:
+    cfg = cfgs[0]
+    if len({group_key(c) for c in cfgs}) > 1:
         raise ValueError("a fit group's configs may differ only in seed and loss weights")
     streams = [run_streams(c) for c in cfgs]
     trains, vals = zip(*(prepare_data(c) for c in cfgs))
@@ -362,32 +368,33 @@ def fit_group(cfgs: Sequence[RunConfig]) -> list[TrainRun]:
         for view, pool, t in zip(twin.replicas(), pools, trains):
             warmup(view, pool, t)  # the bank twin never moves, so a deferred bank warm-up is this one
 
-    opt = init_optimizer(params, cfg)
+    opt = init_optimizer(params, cfgs)
     batchers = [
         _Batcher(len(t), cfg.optimizer.batch_size, np.random.default_rng(s["batch"])) for t, s in zip(trains, streams)
     ]
     sample_rngs = [np.random.default_rng(s["sample"]) for s in streams]
-    # step takes a group's pools, configs and generators as sequences, a lone fit's as they are
-    step_pool, step_cfg, step_rng = (pools, cfgs, sample_rngs) if stacked else (pools[0], cfg, sample_rngs[0])
+    features, labels = np.stack([t.features for t in trains]), np.stack([t.labels for t in trains])
+    replica = np.arange(len(cfgs))[:, None]  # a batch's picks[r] index replica r's rows
+    views = params.replicas()  # each over its row of params.flat, so always current
 
     def accuracies() -> list[float]:
-        return [evaluate(view, val) for view, val in zip(params.replicas(), vals)]
+        return [evaluate(view, val) for view, val in zip(views, vals)]
 
     logs = [[MetricRow(iteration=0, val_acc=acc)] for acc in accuracies()]
     best = [log[0].val_acc for log in logs]
     iterations = cfg.optimizer.iterations
     for it in range(1, iterations + 1):
         advance_schedule(opt, it)
-        picks = [b.next() for b in batchers]
-        batch = _stack([(t.features[idx], t.labels[idx], idx) for t, idx in zip(trains, picks)])
-        terms = step(params, twin, step_pool, batch, opt, step_cfg, step_rng)
+        picks = np.array([b.next() for b in batchers])
+        batch = (features[replica, picks], labels[replica, picks], picks)
+        terms = step(params, twin, pools, batch, opt, cfgs, sample_rngs)
 
         due_log = it % cfg.log_every == 0
         due_eval = it % cfg.eval_every == 0 or it == iterations
         if due_log or due_eval:
             accs = accuracies() if due_eval else [None] * len(cfgs)
             for r, (log, acc) in enumerate(zip(logs, accs)):
-                row = MetricRow(iteration=it, **terms.values(r if stacked else None))
+                row = MetricRow(iteration=it, **terms.values(r))
                 if due_eval:
                     row.val_acc = acc
                     best[r] = max(best[r], acc)
@@ -407,7 +414,7 @@ def fit_group(cfgs: Sequence[RunConfig]) -> list[TrainRun]:
             twin=tw,
             pool=pool,
         )
-        for c, log, b, p, tw, pool in zip(cfgs, logs, best, params.replicas(), twin.replicas(), pools)
+        for c, log, b, p, tw, pool in zip(cfgs, logs, best, views, twin.replicas(), pools)
     ]
 
 

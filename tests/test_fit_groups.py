@@ -164,19 +164,26 @@ def test_a_group_takes_only_configs_that_differ_in_seed_and_loss_weights():
             trainer.fit_group([a, c])
 
 
-def test_a_group_of_one_is_the_unstacked_fit(spies):
-    cfg = group_cfg("moco-prefill", "mean", (1.0, 1.0, 1.0), 0)
-    built = []
-    real = nd._from_op
+@pytest.mark.parametrize("iterations", [0, 1, 12])
+@pytest.mark.parametrize("size", [1, 3])
+def test_every_fit_is_stacked_and_reads_its_terms_once(size, iterations, monkeypatch):
+    # A lone fit is a group of one: R = 1 on the replica axis. What each term reads is found once per fit.
+    configs = [group_cfg("membank-balanced", "mean", (1.0, 1.0, 0.0), seed, iterations) for seed in SEEDS[:size]]
+    shapes, probes = [], []
+    real_step, real_reached = trainer.step, trainer._reached
 
-    def from_op(arr, *rest):
-        built.append(arr.ndim)
-        return real(arr, *rest)
+    def step(params, *rest):
+        shapes.append((params.stacked, params.flat.shape[0]))
+        return real_step(params, *rest)
 
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(nd, "_from_op", from_op)
-        (run,) = trainer.fit_group([cfg])
-    assert max(built) <= 2 and not run.params.stacked  # every node of the tape is a 2-D (or scalar) value
+    monkeypatch.setattr(trainer, "step", step)
+    monkeypatch.setattr(trainer, "_reached", lambda *args: probes.append(args) or real_reached(*args))
+    if size == 1:
+        trainer.fit(configs[0])
+    else:
+        trainer.fit_group(configs)
+    assert shapes == [(True, size)] * iterations
+    assert len(probes) == 1
 
 
 def benchmark_ablate_argv(out) -> list[str]:
@@ -242,11 +249,11 @@ def test_key_batches_that_disagree_in_shape_fall_back_to_serial_fits(spies):
 
 
 def break_one_replica(monkeypatch, replica: int) -> None:
-    """Make a stacked row_l2_normalize see a zero row 0 in one replica: a failure no serial fit meets."""
+    """Make a group's row_l2_normalize see a zero row 0 in one replica: a failure no serial fit (R = 1) meets."""
     real = nd.row_l2_normalize
 
     def patched(a):
-        if a.stacked:
+        if a.stacked and a.shape[0] > replica:
             a = nd.Tensor(a.data.copy())
             a.data[replica, 0] = 0.0
             a.stacked = True
@@ -288,9 +295,10 @@ def test_ablate_stops_with_the_serial_error(tmp_path, spies, monkeypatch, capsys
     message = "non-finite value produced by masked_nll"
 
     def objective(h, z, logits, labels, W, keys, cfg, weights=None):
-        rows = [cfg.weights()] if weights is None else [tuple(w) for w in weights]
+        # One weight row per replica; a float weight is every replica's.
+        rows = list(zip(*np.broadcast_arrays(*np.atleast_1d(*(cfg.weights() if weights is None else weights)))))
         if (0.0, 1.0, 1.0) in rows:
-            where = "" if weights is None else f" in replica {rows.index((0.0, 1.0, 1.0))}"
+            where = "" if len(rows) == 1 else f" in replica {rows.index((0.0, 1.0, 1.0))}"
             raise nd.NonFiniteError(message + where)
         return real(h, z, logits, labels, W, keys, cfg, weights)
 

@@ -156,9 +156,10 @@ def fingerprint(cfg: RunConfig) -> tuple[list[str], bytes, bytes]:
 
 @pytest.mark.parametrize("name", FITS)
 def test_fit_is_byte_identical_to_the_unfused_tape(name, monkeypatch):
+    # A lone fit is stacked, one replica: the chains run on that replica (unfused.lone_*).
     fused = fingerprint(FITS[name])
-    monkeypatch.setattr(nd, "linear", unfused.linear)
-    monkeypatch.setattr(nd, "masked_nll", unfused.masked_nll)
+    monkeypatch.setattr(nd, "linear", unfused.lone_linear)
+    monkeypatch.setattr(nd, "masked_nll", unfused.lone_masked_nll)
     assert fingerprint(FITS[name]) == fused
 
 

@@ -58,7 +58,7 @@ CONFIGS = [
 
 def one_step(state: StepState, old_chain: bool) -> tuple[dict[str, np.ndarray], list[str]]:
     """Everything one step from ``state`` produces, by name, and the ops of the nodes it built."""
-    params, twin, pool, batch, opt, rng = state.restore()
+    params, twin, pools, batch, opt, cfgs, rngs = state.restore()
     grads, ops = {}, []
     real_sgd_apply, real_from_op = trainer.sgd_apply, nd._from_op
 
@@ -71,11 +71,11 @@ def one_step(state: StepState, old_chain: bool) -> tuple[dict[str, np.ndarray], 
         m.setattr(nd, "_from_op", lambda arr, op, *rest: ops.append(op) or real_from_op(arr, op, *rest))
         if old_chain:
             m.setattr(nd, "row_dot_slab", unfused.row_dot_slab)
-        terms = trainer.step(params, twin, pool, batch, opt, state.cfg, rng)
-    out = {f"loss.{name}": np.array(value) for name, value in terms.values().items() if value is not None}
+        terms = trainer.step(params, twin, pools, batch, opt, cfgs, rngs)
+    out = {f"loss.{name}": np.array(value) for name, value in terms.values(0).items() if value is not None}
     out.update({f"grad.{name}": g for name, g in grads.items()})
     out.update(params=params.flat, twin=twin.flat, velocity=opt.velocity)
-    out.update({f"pool.{name}": a for name, a in pool_arrays(pool).items()})
+    out.update({f"pool.{name}": a for name, a in pool_arrays(pools[0]).items()})
     return out, ops
 
 

@@ -9,7 +9,7 @@ import pytest
 from dualhead.config import OptimizerConfig, RunConfig, validate_config
 from dualhead.data import make_blobs
 from dualhead.keypool import EmptyPoolError, MemoryBank, MocoQueues
-from dualhead.model import ModelDims, ModelParams, forward_key, init_params, init_twin
+from dualhead.model import ModelDims, ModelParams, forward_key, init_params, init_twin, stack
 from dualhead.ndgrad import DegenerateRowError, NonFiniteError, Tensor
 from dualhead.trainer import (
     OptimizerState,
@@ -54,6 +54,11 @@ def small_cfg(**over):
     return validate_config(cfg)
 
 
+def step_alone(params, twin, pool, batch, opt, cfg, rng):
+    """``trainer.step`` for a fit group of one: its pool, config and generator as one-item sequences."""
+    return step(params, twin, [pool], batch, opt, [cfg], [rng])
+
+
 def np_encode_raw(layers, x):
     h = x.copy()
     for i, (w, b) in enumerate(layers):
@@ -71,11 +76,11 @@ def np_log_softmax(row):
 class TestOptimizer:
     def test_head_moves_ten_times_farther(self):
         dims = ModelDims(in_dim=3, hidden=(4,), feature_dim=3, class_count=2, projector_dim=3)
-        params = init_params(dims, np.random.default_rng(0))
+        params = stack([init_params(dims, np.random.default_rng(0))])
         cfg = small_cfg()
         cfg.optimizer.weight_decay = 0.0
         cfg.optimizer.base_lr = 0.05
-        opt = init_optimizer(params, cfg)
+        opt = init_optimizer(params, [cfg])
         before = {name: t.data.copy() for name, t in params.named_parameters()}
         for _, t in params.named_parameters():
             t.grad = np.ones_like(t.data)
@@ -90,12 +95,12 @@ class TestOptimizer:
         # Closed-form single-parameter trajectory: v <- mu v + (g + wd * w),
         # w <- w - lr * v, replayed in plain floats.
         dims = ModelDims(in_dim=2, hidden=(), feature_dim=2, class_count=2, projector_dim=2)
-        params = init_params(dims, np.random.default_rng(1))
+        params = stack([init_params(dims, np.random.default_rng(1))])
         cfg = small_cfg()
         cfg.optimizer.weight_decay = 0.1
         cfg.optimizer.sgd_momentum = 0.9
         cfg.optimizer.base_lr = 0.01
-        opt = init_optimizer(params, cfg)
+        opt = init_optimizer(params, [cfg])
         name = "projector.bias"
         w = params.projector_b.data.copy()
         v = np.zeros_like(w)
@@ -108,9 +113,10 @@ class TestOptimizer:
         np.testing.assert_allclose(params.projector_b.data, w, atol=1e-15)
 
     def test_untouched_parameters_are_skipped(self):
+        # CE reads no projector tensor, so a CE-only fit's update never reaches the projector.
         dims = ModelDims(in_dim=2, hidden=(), feature_dim=2, class_count=2, projector_dim=2)
-        params = init_params(dims, np.random.default_rng(2))
-        opt = init_optimizer(params, small_cfg())
+        params = stack([init_params(dims, np.random.default_rng(2))])
+        opt = init_optimizer(params, [small_cfg(losses__cce=0.0, losses__ccl=0.0)])
         before = params.projector_w.data.copy()
         params.classifier_W.grad = np.ones_like(params.classifier_W.data)
         sgd_apply(params, opt)
@@ -120,20 +126,22 @@ class TestOptimizer:
         # The per-tensor loop the vector form replaced, as the oracle: the
         # scalar rate base_lr * lr_mult * boost, velocity *= mu then += g.
         dims = ModelDims(in_dim=3, hidden=(4,), feature_dim=3, class_count=2, projector_dim=5)
-        params = init_params(dims, np.random.default_rng(4), classifier_bias=True)
+        params = stack([init_params(dims, np.random.default_rng(4), classifier_bias=True)])
         cfg = small_cfg(base_lr=0.03)
         cfg.optimizer.weight_decay = 1e-3
-        opt = init_optimizer(params, cfg)
+        opt = init_optimizer(params, [cfg])
         opt.schedule = ((3, 0.1), (5, 0.5))
         data = {name: t.data.copy() for name, t in params.named_parameters()}
         vel = {name: np.zeros_like(d) for name, d in data.items()}
         rng = np.random.default_rng(5)
         for it, skip in enumerate(["", "projector.", "classifier.", "encoder.0.b", "", "projector.w"], start=1):
             advance_schedule(opt, it)
+            opt.live[:] = False  # the update reaches exactly the tensors given a gradient
             for name, t in params.named_parameters():
                 t.grad = None if skip and name.startswith(skip) else rng.normal(size=t.data.shape)
                 if t.grad is None:
                     continue
+                opt.live[:, params.slices[name]] = True
                 g = t.grad + cfg.optimizer.weight_decay * data[name]
                 vel[name] *= cfg.optimizer.sgd_momentum
                 vel[name] += g
@@ -142,15 +150,15 @@ class TestOptimizer:
             sgd_apply(params, opt)
             for name, t in params.named_parameters():
                 np.testing.assert_array_equal(t.data, data[name])
-                np.testing.assert_array_equal(opt.velocity[params.slices[name]], vel[name].ravel())
+                np.testing.assert_array_equal(opt.velocity[0, params.slices[name]], vel[name].ravel())
                 assert t.grad is None
 
     @pytest.mark.parametrize("name", ["encoder.0.bias", "classifier.weight", "projector.weight"])
     def test_names_the_parameter_that_went_non_finite(self, name):
         dims = ModelDims(in_dim=2, hidden=(3,), feature_dim=2, class_count=2, projector_dim=2)
-        params = init_params(dims, np.random.default_rng(3))
+        params = stack([init_params(dims, np.random.default_rng(3))])
         cfg = small_cfg(base_lr=1e10)
-        opt = init_optimizer(params, cfg)
+        opt = init_optimizer(params, [cfg])
         for other, t in params.named_parameters():
             t.grad = np.full_like(t.data, 1e308 if other == name else 1.0)
         with pytest.raises(NonFiniteError, match=f"parameter {name} became non-finite"), np.errstate(over="ignore"):
@@ -170,6 +178,7 @@ class TestOptimizer:
 
 class TestStep:
     def setup_run(self, cfg, warm=True):
+        """A fit group of one before its first step: stacked params and twin, and a batch with a replica axis of one."""
         train, _ = prepare_data(cfg)
         ss = np.random.SeedSequence(cfg.seed)
         _, _, _, s_init, _, _ = ss.spawn(6)
@@ -180,16 +189,16 @@ class TestStep:
             class_count=train.class_count,
             projector_dim=cfg.model.projector_dim,
         )
-        params = init_params(dims, np.random.default_rng(s_init))
+        params = stack([init_params(dims, np.random.default_rng(s_init))])
         twin = init_twin(params, cfg.keys.momentum)
         if cfg.keys.generator == "membank":
             pool = MemoryBank(train.labels, cfg.keys.bank_momentum, cfg.keys.bank_uniform)
         else:
             pool = MocoQueues(train.class_count, cfg.keys.queue_size)
         if warm:
-            warmup(twin, pool, train)
-        opt = init_optimizer(params, cfg)
-        batch = (train.features[:4], train.labels[:4], np.arange(4))
+            warmup(twin.replicas()[0], pool, train)
+        opt = init_optimizer(params, [cfg])
+        batch = (train.features[None, :4], train.labels[None, :4], np.arange(4)[None])
         return train, params, twin, pool, opt, batch
 
     def test_ce_only_reduces_to_vanilla_fine_tuning(self):
@@ -198,9 +207,9 @@ class TestStep:
 
         cfg = small_cfg(losses__cce=0.0, losses__ccl=0.0)
         _, params, twin, pool, opt, batch = self.setup_run(cfg, warm=False)
-        _, _, logits = model_mod.forward_query(params, Tensor(batch[0]))
-        expect = losses_mod.ce(logits, batch[1], reduction="mean").item()
-        terms = step(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
+        _, _, logits = model_mod.forward_query(params.replicas()[0], Tensor(batch[0][0]))
+        expect = losses_mod.ce(logits, batch[1][0], reduction="mean").item()
+        terms = step_alone(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
         assert terms.cce is None and terms.ccl is None
         assert abs(terms.ce.item() - expect) <= 1e-12
         assert abs(terms.total.item() - expect) <= 1e-12
@@ -214,7 +223,7 @@ class TestStep:
         _, params, twin, pool, opt, batch = self.setup_run(cfg, warm=False)
         real, inputs = nd.row_l2_normalize, []
         monkeypatch.setattr(nd, "row_l2_normalize", lambda t: inputs.append(t) or real(t))
-        step(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
+        step_alone(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
         assert inputs == []
 
     @pytest.mark.parametrize(
@@ -235,14 +244,14 @@ class TestStep:
         _, params, twin, pool, opt, batch = self.setup_run(cfg)
         real, ops = nd._from_op, []
         monkeypatch.setattr(nd, "_from_op", lambda arr, op, *rest: ops.append(op) or real(arr, op, *rest))
-        step(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
+        step_alone(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
         assert len(ops) <= most, ops
 
     def test_zero_learning_rate_freezes_parameters(self):
         cfg = small_cfg(base_lr=0.0)
         _, params, twin, pool, opt, batch = self.setup_run(cfg)
         before = {name: t.data.copy() for name, t in params.named_parameters()}
-        terms = step(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
+        terms = step_alone(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
         assert terms.total.item() > 0.0
         for name, t in params.named_parameters():
             np.testing.assert_array_equal(t.data, before[name])
@@ -255,14 +264,14 @@ class TestStep:
         before = params.flat.copy()
         rng = np.random.default_rng(0)
         for _ in range(3):
-            step(params, twin, pool, batch, opt, cfg, rng)
+            step_alone(params, twin, pool, batch, opt, cfg, rng)
         for name, span in params.slices.items():
             if name.startswith("classifier."):
-                np.testing.assert_array_equal(params.flat[span], before[span])
-                assert not opt.velocity[span].any(), name
+                np.testing.assert_array_equal(params.flat[:, span], before[:, span])
+                assert not opt.velocity[:, span].any(), name
             else:
-                assert (params.flat[span] != before[span]).all(), name
-                assert opt.velocity[span].all(), name
+                assert (params.flat[:, span] != before[:, span]).all(), name
+                assert opt.velocity[:, span].all(), name
 
     @pytest.mark.parametrize(
         "over, draws",
@@ -275,32 +284,32 @@ class TestStep:
         ],
     )
     def test_one_key_draw_per_contrastive_step(self, monkeypatch, over, draws):
-        # One sample call form for both pools: five positional arguments, the draw rule the pool's own.
+        # One draw form for both pools: (keys_per_class, queries, generator), the draw rule the pool's own.
         cfg = small_cfg(**over)
         warm = cfg.losses.contrastive and (cfg.keys.warmup_mode == "prefill" or cfg.keys.generator == "membank")
         _, params, twin, pool, opt, batch = self.setup_run(cfg, warm=warm)
-        real, calls = pool.sample, []
-        monkeypatch.setattr(pool, "sample", lambda *args: calls.append(args) or real(*args))
+        real, calls = pool._drawn, []
+        monkeypatch.setattr(pool, "_drawn", lambda *args: calls.append(args) or real(*args))
         rng = np.random.default_rng(0)
         for n in range(1, 4):
-            step(params, twin, pool, batch, opt, cfg, rng)
+            step_alone(params, twin, pool, batch, opt, cfg, rng)
             assert len(calls) == draws * n
-        assert all(args[0] == cfg.keys.keys_per_class and args[4] is rng for args in calls)
+        assert all(args == (cfg.keys.keys_per_class, len(batch[1][0]), rng) for args in calls)
 
     def test_empty_pool_with_contrastive_terms(self):
         cfg = small_cfg()
         _, params, twin, pool, opt, batch = self.setup_run(cfg, warm=False)
         with pytest.raises(EmptyPoolError):
-            step(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
+            step_alone(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
 
     def test_deferred_step_seeds_an_empty_queue_once(self):
         # The batch's twin keys are the pool's first and only keys: stage 6 must not enqueue them again.
         cfg = small_cfg(keys__warmup_mode="defer", keys__queue_size=8)
         _, params, twin, pool, opt, batch = self.setup_run(cfg, warm=False)
-        h_k, z_k = forward_key(twin, Tensor(batch[0]))
-        step(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
+        h_k, z_k = forward_key(twin.replicas()[0], Tensor(batch[0][0]))
+        step_alone(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
         entries = [e for c in range(pool.class_count) for e in pool.entries(c)]
-        by_class = np.argsort(batch[1], kind="stable")
+        by_class = np.argsort(batch[1][0], kind="stable")
         np.testing.assert_array_equal([e.h_key for e in entries], h_k[by_class])
         np.testing.assert_array_equal([e.z_key for e in entries], z_k[by_class])
 
@@ -314,7 +323,7 @@ class TestStep:
         b.data[:] = 0.0
         before = pool.h_snap.copy(), pool.z_snap.copy()
         with pytest.raises(DegenerateRowError):
-            step(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
+            step_alone(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
         np.testing.assert_array_equal(pool.h_snap, before[0])
         np.testing.assert_array_equal(pool.z_snap, before[1])
 
@@ -332,7 +341,9 @@ class TestStep:
         monkeypatch.setattr(losses_mod, "objective", spy)
         cfg = small_cfg()
         _, params, twin, pool, opt, batch = self.setup_run(cfg)
-        step(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
+        assert callers == ["dualhead.trainer"]  # init_optimizer's probe of what each term reads
+        callers.clear()
+        step_alone(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
         assert callers == ["dualhead.trainer"]
         for name, build in LOSS_CASES.items():
             callers.clear()
@@ -344,17 +355,18 @@ class TestStep:
         """Independent numpy replay of stages 1-6 on a fixed seed."""
         cfg = small_cfg()
         train, params, twin, pool, opt, batch = self.setup_run(cfg)
-        x, y, ids = batch
+        (x,), (y,), (ids,) = batch
+        view, twin_view = params.replicas()[0], twin.replicas()[0]  # the one replica's tensors, as arrays
         tau = cfg.losses.tau
         kpc = cfg.keys.keys_per_class
 
         # Freeze pre-step state for the replay.
         pre_queues = [pool.entries(c) for c in range(train.class_count)]
-        pre_params = {name: t.data.copy() for name, t in params.named_parameters()}
-        pre_twin_pw = twin.projector_w.data.copy()
-        enc_layers = [(w.data.copy(), b.data.copy()) for w, b in params.encoder_layers]
+        pre_params = {name: t.data.copy() for name, t in view.named_parameters()}
+        pre_twin_pw = twin_view.projector_w.data.copy()
+        enc_layers = [(w.data.copy(), b.data.copy()) for w, b in view.encoder_layers]
 
-        terms = step(params, twin, pool, batch, opt, cfg, np.random.default_rng(321))
+        terms = step_alone(params, twin, pool, batch, opt, cfg, np.random.default_rng(321))
 
         # Stage 1: live forward.
         h = np_encode_raw(enc_layers, x)
@@ -411,10 +423,10 @@ class TestStep:
 
         # Stage 5: twin mixed with the POST-update parameters.
         m = cfg.keys.momentum
-        expect_twin = m * pre_twin_pw + (1 - m) * params.projector_w.data
-        np.testing.assert_allclose(twin.projector_w.data, expect_twin, atol=1e-15)
+        expect_twin = m * pre_twin_pw + (1 - m) * view.projector_w.data
+        np.testing.assert_allclose(twin_view.projector_w.data, expect_twin, atol=1e-15)
         wrong_twin = m * pre_twin_pw + (1 - m) * pre_params["projector.weight"]
-        assert not np.allclose(twin.projector_w.data, wrong_twin, atol=1e-12)
+        assert not np.allclose(twin_view.projector_w.data, wrong_twin, atol=1e-12)
 
         # Stage 6: this batch's keys entered the queues after sampling, so
         # each class buffer now ends with the batch's last key of that class.
@@ -425,10 +437,10 @@ class TestStep:
     def test_bank_mode_mixes_live_features(self):
         cfg = small_cfg(keys__generator="membank")
         train, params, twin, pool, opt, batch = self.setup_run(cfg)
-        x, y, ids = batch
+        (x,), (y,), (ids,) = batch
         pre_snap = pool.h_snap.copy()
-        enc_layers = [(w.data.copy(), b.data.copy()) for w, b in params.encoder_layers]
-        step(params, twin, pool, batch, opt, cfg, np.random.default_rng(5))
+        enc_layers = [(w.data.copy(), b.data.copy()) for w, b in params.replicas()[0].encoder_layers]
+        step_alone(params, twin, pool, batch, opt, cfg, np.random.default_rng(5))
         h = np_encode_raw(enc_layers, x)
         h_norm = h / np.linalg.norm(h, axis=1, keepdims=True)
         mixed = cfg.keys.bank_momentum * pre_snap[ids] + (1 - cfg.keys.bank_momentum) * h_norm
@@ -445,7 +457,7 @@ class TestStep:
         _, params, twin, pool, opt, batch = self.setup_run(cfg)
         real, widths = nd.row_norms, []
         monkeypatch.setattr(nd, "row_norms", lambda x, *rest, **kw: widths.append(x.shape[-1]) or real(x, *rest, **kw))
-        step(params, twin, pool, batch, opt, cfg, np.random.default_rng(5))
+        step_alone(params, twin, pool, batch, opt, cfg, np.random.default_rng(5))
         assert sorted(widths) == sorted([cfg.model.feature_dim, cfg.model.projector_dim])
 
 
@@ -588,10 +600,12 @@ class TestFit:
         assert run.metric_log[-1].cce is not None
 
     def test_fit_leaves_every_tensor_a_view_of_its_vector(self):
+        # A run's params and twin are its replica's row of the group's (1 x P) vectors, and their tensors views of it.
         run = fit(small_cfg(iterations=20))
         for p in (run.params, run.twin):
+            assert p.flat.base is not None and p.flat.base.shape == (1,) + p.flat.shape
             for name, t in p.named_parameters():
-                assert t.data.base is p.flat and np.shares_memory(t.data, p.flat[p.slices[name]]), name
+                assert t.data.base is p.flat.base and np.shares_memory(t.data, p.flat[p.slices[name]]), name
 
     def test_membank_fit_runs(self):
         run = fit(small_cfg(iterations=25, keys__generator="membank"))

@@ -24,7 +24,16 @@ The key pools' earlier forms are kept the same way: ``RingQueues``, the
 per-class ring buffers with a head slot and modular slot arithmetic;
 ``per_class_bank_sample``, the memory bank's per-class gather; and
 ``newest_per_class_warmup``, the queue warm-up that forwarded only each
-class's newest ``queue_size`` rows.
+class's newest ``queue_size`` rows. ``slot0_batch`` is the concatenation
+that once put each query's own key ahead of its drawn keys.
+
+A fit is stacked even alone, with a replica axis of one.
+``lone_linear``, ``lone_masked_nll`` and ``row_dot_slab`` run the
+2-D-only chains on that one replica and give the result the axis back,
+through nodes that only reshape, so a whole fit can still be compared
+with the chains. Those nodes come from the constructor as imported, so
+a test that counts ops by patching ``nd._from_op`` sees only the
+chain's. Unstacked operands pass straight through.
 """
 
 from typing import Callable, Sequence
@@ -34,7 +43,7 @@ import numpy as np
 import dualhead.model as model_mod
 import dualhead.ndgrad as nd
 from dualhead.gradcheck import EPS, REL_FLOOR, analytic_gradients
-from dualhead.keypool import KeyEntry, MocoQueues, _check_unit, _draw, _key_rows, _with_queries
+from dualhead.keypool import KeyBatch, KeyEntry, MocoQueues, _check_unit, _draw, _key_rows
 from dualhead.ndgrad import ShapeError, Tensor
 
 
@@ -116,6 +125,42 @@ def masked_nll(scores: Tensor, mask: np.ndarray, scale: float, inv_tau: float | 
     return nd.scale_by_scalar(nd.sum(nd.mul(log_softmax_row(s), Tensor(mask))), scale)
 
 
+_node = nd._from_op  # the reshape nodes' constructor, never a test's patch of it
+
+
+def _lone(t: Tensor | None) -> Tensor | None:
+    """The one replica of a stacked operand, as an unstacked node whose backward puts the axis back."""
+    if t is None or not t.stacked:
+        return t
+    if t.shape[0] != 1:
+        raise ShapeError(f"a lone fit has one replica, got {t.shape[0]}")
+    out = _node(t.data[0], "unstack", (t,), lambda g: nd._accumulate(t, g[None]))
+    out.stacked = False
+    return out
+
+
+def _restacked(t: Tensor) -> Tensor:
+    """An unstacked result with a replica axis of one, as a stacked node whose backward takes it off again."""
+    out = _node(t.data[None], "restack", (t,), lambda g: nd._accumulate(t, g[0]))
+    out.stacked = True
+    return out
+
+
+def lone_linear(x: Tensor, w: Tensor, b: Tensor | None = None, w_rows: bool = False) -> Tensor:
+    """``linear``'s chain on a lone fit's one replica."""
+    if not x.stacked:
+        return linear(x, w, b, w_rows)
+    return _restacked(linear(_lone(x), _lone(w), _lone(b), w_rows))
+
+
+def lone_masked_nll(scores: Tensor, mask: np.ndarray, scale: float, inv_tau: float | None = None) -> Tensor:
+    """``masked_nll``'s chain on a lone fit's one replica, its mask the replica's own."""
+    if not scores.stacked:
+        return masked_nll(scores, mask, scale, inv_tau)
+    mask = np.asarray(mask)
+    return _restacked(masked_nll(_lone(scores), mask.reshape(mask.shape[-2:]), scale, inv_tau))
+
+
 _row_dot_slab = nd.row_dot_slab  # the library's op, kept for when a test patches the chain below over it
 
 
@@ -123,6 +168,8 @@ def row_dot_slab(a: Tensor, slab: np.ndarray, live0: Tensor | None = None) -> Te
     """With ``live0``: the slab with slot 0 zeroed, plus the rank-1 term (a * live0) @ E0, E0 ones in column 0 only."""
     if live0 is None:
         return _row_dot_slab(a, slab)
+    if a.stacked:  # a lone fit's one replica
+        return _restacked(row_dot_slab(_lone(a), np.asarray(slab)[0], _lone(live0)))
     bank = np.array(slab, dtype=np.float64)
     bank[:, 0] = 0.0
     e0 = np.zeros((a.shape[1], bank.shape[1]))
@@ -194,7 +241,7 @@ class RingQueues(MocoQueues):
         b = picks.shape[0]
         cls = np.broadcast_to(classes[None, :, None], picks.shape).reshape(b, -1)
         slots = ((self._head[classes][None, :, None] + picks) % self.queue_size).reshape(b, -1)
-        return _with_queries((h_query, z_query, labels), self._h[cls, slots], self._z[cls, slots], cls)
+        return slot0_batch((h_query, z_query, labels), self._h[cls, slots], self._z[cls, slots], cls)
 
 
 def per_class_bank_sample(bank, count_per_class: int, h_query, z_query, labels, rng, uniform: bool = False):
@@ -206,7 +253,19 @@ def per_class_bank_sample(bank, count_per_class: int, h_query, z_query, labels, 
     else:
         picks = _draw(rng, len(labels), [m.shape[0] for m in members], count_per_class)
         idx = np.stack([m[picks[:, j]] for j, m in enumerate(members)], axis=1).reshape(picks.shape[0], -1)
-    return _with_queries((h_query, z_query, labels), bank.h_snap[idx], bank.z_snap[idx], bank.labels[idx])
+    return slot0_batch((h_query, z_query, labels), bank.h_snap[idx], bank.z_snap[idx], bank.labels[idx])
+
+
+def slot0_batch(queries, h: np.ndarray, z: np.ndarray, labels: np.ndarray) -> KeyBatch:
+    """Each query's own key concatenated ahead of its drawn keys, every row then unit-checked."""
+    h_q, z_q, y = _key_rows(*queries)
+    batch = KeyBatch(
+        h_keys=np.concatenate([h_q[:, None, :], h], axis=1),
+        z_keys=np.concatenate([z_q[:, None, :], z], axis=1),
+        labels=np.concatenate([y[:, None], labels], axis=1),
+    )
+    _check_unit(h_keys=batch.h_keys, z_keys=batch.z_keys)
+    return batch
 
 
 def newest_per_class_warmup(twin, pool: MocoQueues, ds) -> None:
