@@ -360,14 +360,19 @@ def row_dot_slab(a: Tensor, slab: np.ndarray, live0: Tensor | None = None) -> Te
     return _from_op(np.einsum("...bd,...bnd->...bn", a.data, slab), "row_dot_slab", parents, backward)
 
 
+def _row_name(pos, ids=None) -> str:
+    """'replica r row i' ('row i' unstacked), 'example <id>' for 'row i' given ``ids`` per row or per replica and row."""
+    row = f"row {pos[-1]}" if ids is None else f"example {np.asarray(ids)[tuple(pos[-np.ndim(ids):])]}"
+    return " ".join([f"replica {r}" for r in pos[:-1]] + [row])
+
+
 def row_norms(x: np.ndarray, where: str, floor: float = NORM_EPS, ids=None) -> np.ndarray:
     """Norms of x's rows (its last axis, kept): the one row rule of the tape and the key pool.
 
     np.linalg.norm's sum, bit for bit, without its Python wrapper. A
     non-finite norm raises ``NonFiniteError`` and one below ``floor``
     ``DegenerateRowError`` (clamping would hide a collapsed encoder), naming
-    the first such row of ``where``: example ``ids[i]`` if given, else row
-    i, after its replica in a stack.
+    the first such row of ``where`` by ``_row_name``.
     """
     norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
     # Two bare reductions, cheaper than isfinite().all() and any(): a NaN carries into the minimum and fails.
@@ -375,8 +380,8 @@ def row_norms(x: np.ndarray, where: str, floor: float = NORM_EPS, ids=None) -> n
     if low >= floor and high < np.inf:
         return norms
     finite = np.isfinite(norms).all()
-    *replica, row, _ = index = np.argwhere(norms < floor if finite else ~np.isfinite(norms))[0]
-    name = " ".join([f"replica {r}" for r in replica] + [f"example {ids[row]}" if ids is not None else f"row {row}"])
+    index = np.argwhere(norms < floor if finite else ~np.isfinite(norms))[0]
+    name = _row_name(index[:-1], ids)
     if not finite:
         raise NonFiniteError(f"{name} has non-finite norm {norms[tuple(index)]:.3e} in {where}")
     raise DegenerateRowError(f"{name} has norm {norms[tuple(index)]:.3e} < {floor} in {where}")

@@ -4,15 +4,15 @@ One training step runs a fixed pipeline:
 
 1. live forward pass (features, projection, logits);
 2. key forward pass for the same batch through the momentum twin;
-3. one draw from each replica's pool for all its queries
-   (``keypool.sample_group``), slot 0 = each query's own keys (its bank
+3. one draw from the key store for all queries (``draw``: one
+   generator call per replica), slot 0 = each query's own keys (its bank
    snapshot, or its twin keys from stage 2);
 4. ``losses.objective`` (the enabled terms and their total), backward,
    SGD-with-momentum update of the one parameter vector (weight decay
    folded into the gradient, boosted learning rate for the heads);
 5. momentum update of the twin's vector (after the optimizer step, so
    keys always come from the slow weights);
-6. the batch's keys join the pool: a queue append (none on the step
+6. the batch's keys join the store: a queue write (none on the step
    whose keys seeded a deferred queue), or snapshot mixing in
    memory-bank mode.
 
@@ -32,12 +32,13 @@ metric log bit for bit.
 
 Fit groups: every fit is a ``fit_group`` (``fit`` is a group of one),
 which trains configs that differ only in seed and loss weights on one
-tape, one replica each on ``ndgrad``'s replica axis. The parameter
-vector, the twin and the velocity are (R x P); each replica keeps its
-own data, generators and key pool, and its pool makes its own one draw
-each step, so each replica's params, pool and metric log are its serial
-fit's bit for bit. What a fit fixes (the loss weights, the elements each
-replica's update reaches, the stacked training set) is resolved once.
+tape, one replica each on ``ndgrad``'s replica axis: the parameter
+vector, the twin and the velocity are (R x P), and the one key store
+(``keypool``) has the same replica axis. Each replica keeps its own
+data and generators and makes its own draw, so its params, keys and
+metric log are its serial fit's bit for bit. What a fit fixes (the loss
+weights, the elements each replica's update reaches, the stacked
+training set) is resolved once.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import data as data_mod
-from . import keypool as keypool_mod
 from . import losses as losses_mod
 from . import model as model_mod
 from . import ndgrad as nd
@@ -97,7 +97,7 @@ class MetricRow:
 
 @dataclass
 class TrainRun:
-    """Everything a finished run produced, metric log included; ``wall_seconds`` is its fit group's."""
+    """A finished run and its group's ``wall_seconds``; params, twin and pool (read-only) view its replica's rows."""
 
     config: RunConfig
     seed: int
@@ -188,7 +188,7 @@ def sgd_apply(params: ModelParams, opt: OptimizerState) -> None:
 def step(
     params: ModelParams,
     twin: MomentumTwin,
-    pools: Sequence[MocoQueues | MemoryBank],
+    pool: MocoQueues | MemoryBank,
     batch: tuple[np.ndarray, np.ndarray, np.ndarray],
     opt: OptimizerState,
     cfgs: Sequence[RunConfig],
@@ -196,14 +196,15 @@ def step(
 ) -> losses_mod.LossTerms:
     """One optimization step of a fit group over (features, labels, training row numbers).
 
-    The batch arrays carry the replica axis, and ``pools``, ``cfgs`` and
-    ``rngs`` hold one pool, config and sampling generator per replica.
-    The configs agree on all but seed and loss weights, read from ``opt``.
+    The batch arrays and the key store carry the replica axis, and
+    ``cfgs`` and ``rngs`` hold one config and sampling generator per
+    replica. The configs agree on all but seed and loss weights, read
+    from ``opt``.
     """
     x_np, y, ids = batch
     cfg = cfgs[0]
     contrastive = cfg.losses.contrastive
-    bank_mode = isinstance(pools[0], MemoryBank)
+    bank_mode = isinstance(pool, MemoryBank)
 
     x = Tensor(x_np)
     x.stacked = True
@@ -211,14 +212,11 @@ def step(
 
     keys = None
     if contrastive:
-        if bank_mode:  # each query's slot-0 keys: the replicas' h blocks, z blocks and labels
-            own = tuple(zip(*(p.entry(i) for p, i in zip(pools, ids))))
-        else:
-            own = (*model_mod.forward_key(twin, x), y)
-        seeding = len(pools[0]) == 0 and cfg.keys.warmup_mode == "defer"  # an empty bank has already raised in entry
-        if seeding:  # a deferred warm-up: this batch's keys are the pool's first
-            keypool_mod.enqueue_group(pools, *own)
-        keys = keypool_mod.sample_group(pools, cfg.keys.keys_per_class, *own, rngs)
+        own = pool.own(ids) if bank_mode else (*model_mod.forward_key(twin, x), y)  # each query's slot-0 keys
+        seeding = len(pool) == 0 and cfg.keys.warmup_mode == "defer"  # an empty bank has already raised in own
+        if seeding:  # a deferred warm-up: this batch's keys are the store's first
+            pool.push(*own)
+        keys = pool.draw(cfg.keys.keys_per_class, *own, rngs)
 
     terms = losses_mod.objective(h_q, z_q, logits, y, params.classifier_W, keys, cfg.losses, opt.weights)
     terms.total.backward()
@@ -227,27 +225,30 @@ def step(
     if contrastive:
         if bank_mode:
             h_norm = terms.h_norm.data if terms.h_norm is not None else h_q.data / nd.row_norms(h_q.data, "h")
-            for p, *rows in zip(pools, ids, h_norm, z_q.data):
-                p.update(*rows)
+            pool.mix(ids, h_norm, z_q.data)
         else:
             model_mod.momentum_update(twin, params)
             if not seeding:
-                keypool_mod.enqueue_group(pools, *own)
+                pool.push(*own)
     return terms
 
 
-def warmup(twin: MomentumTwin, pool: MocoQueues | MemoryBank, ds: data_mod.Dataset) -> None:
-    """Fill the key pool with one gradient-free pass of every row through the twin, 256 rows a forward.
+def warmup(twin: MomentumTwin, pool: MocoQueues | MemoryBank, features: np.ndarray, labels: np.ndarray) -> None:
+    """Fill the key store with one gradient-free pass of each replica's (N x in_dim) rows, 256 a forward, through the twin.
 
-    A bank installs the keys as its snapshots; queues enqueue them in
+    A bank installs the keys as its snapshots; queues take them in
     dataset order, which leaves each class its newest queue_size keys.
     """
-    parts = [model_mod.forward_key(twin, Tensor(ds.features[lo:lo + 256])) for lo in range(0, len(ds), 256)]
-    h, z = np.vstack([h for h, _ in parts]), np.vstack([z for _, z in parts])
+    parts = []
+    for lo in range(0, features.shape[1], 256):
+        x = Tensor(features[:, lo:lo + 256])
+        x.stacked = True
+        parts.append(model_mod.forward_key(twin, x))
+    h, z = (np.concatenate(rows, axis=1) for rows in zip(*parts))
     if isinstance(pool, MocoQueues):
-        pool.enqueue(h, z, ds.labels)
+        pool.push(h, z, labels)
     else:
-        pool.initialize(h, z)
+        pool.install(h, z)
 
 
 def evaluate(params: ModelParams, ds: data_mod.Dataset) -> float:
@@ -357,23 +358,19 @@ def fit_group(cfgs: Sequence[RunConfig]) -> list[TrainRun]:
         for s in streams
     ])
     twin = model_mod.init_twin(params, cfg.keys.momentum)
+    features, labels = np.stack([t.features for t in trains]), np.stack([t.labels for t in trains])
     if cfg.keys.generator == "membank":
-        pools: list[MocoQueues | MemoryBank] = [
-            MemoryBank(t.labels, cfg.keys.bank_momentum, cfg.keys.bank_uniform) for t in trains
-        ]
+        pool: MocoQueues | MemoryBank = MemoryBank(labels, cfg.keys.bank_momentum, cfg.keys.bank_uniform)
     else:
-        pools = [MocoQueues(t.class_count, cfg.keys.queue_size) for t in trains]
-
-    if cfg.losses.contrastive and (cfg.keys.warmup_mode == "prefill" or isinstance(pools[0], MemoryBank)):
-        for view, pool, t in zip(twin.replicas(), pools, trains):
-            warmup(view, pool, t)  # the bank twin never moves, so a deferred bank warm-up is this one
+        pool = MocoQueues(train.class_count, cfg.keys.queue_size, len(cfgs))
+    if cfg.losses.contrastive and (cfg.keys.warmup_mode == "prefill" or isinstance(pool, MemoryBank)):
+        warmup(twin, pool, features, labels)  # the bank twin never moves, so a deferred bank warm-up is this one
 
     opt = init_optimizer(params, cfgs)
     batchers = [
         _Batcher(len(t), cfg.optimizer.batch_size, np.random.default_rng(s["batch"])) for t, s in zip(trains, streams)
     ]
     sample_rngs = [np.random.default_rng(s["sample"]) for s in streams]
-    features, labels = np.stack([t.features for t in trains]), np.stack([t.labels for t in trains])
     replica = np.arange(len(cfgs))[:, None]  # a batch's picks[r] index replica r's rows
     views = params.replicas()  # each over its row of params.flat, so always current
 
@@ -387,7 +384,7 @@ def fit_group(cfgs: Sequence[RunConfig]) -> list[TrainRun]:
         advance_schedule(opt, it)
         picks = np.array([b.next() for b in batchers])
         batch = (features[replica, picks], labels[replica, picks], picks)
-        terms = step(params, twin, pools, batch, opt, cfgs, sample_rngs)
+        terms = step(params, twin, pool, batch, opt, cfgs, sample_rngs)
 
         due_log = it % cfg.log_every == 0
         due_eval = it % cfg.eval_every == 0 or it == iterations
@@ -412,9 +409,9 @@ def fit_group(cfgs: Sequence[RunConfig]) -> list[TrainRun]:
             wall_seconds=wall,
             params=p,
             twin=tw,
-            pool=pool,
+            pool=store,
         )
-        for c, log, b, p, tw, pool in zip(cfgs, logs, best, views, twin.replicas(), pools)
+        for c, log, b, p, tw, store in zip(cfgs, logs, best, views, twin.replicas(), pool.replicas())
     ]
 
 

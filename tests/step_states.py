@@ -3,8 +3,8 @@
 ``capture_states(cfg, iterations)`` runs ``trainer.fit(cfg)``, a fit
 group of one, and, just before each listed step, copies everything that
 step reads or writes: the (1 x P) parameter and twin vectors, the
-velocity, the learning-rate multiplier, the key pool, the batch (with
-its replica axis of one) and the sampling generator's state.
+velocity, the learning-rate multiplier, the key store (a replica axis
+of one), the batch (likewise) and the sampling generator's state.
 ``StepState.restore`` rebuilds fresh objects from those copies as often
 as a test needs. ``ModelParams`` is rebuilt from ``flat``, never
 deep-copied, so its tensors stay views of the one vector.
@@ -21,7 +21,7 @@ import pytest
 
 from dualhead import trainer
 from dualhead.config import RunConfig
-from dualhead.keypool import MemoryBank, MocoQueues
+from dualhead.keypool import KeyEntry, MemoryBank, MocoQueues
 from dualhead.model import ModelDims, ModelParams, MomentumTwin
 
 
@@ -39,7 +39,7 @@ class StepState:
     rng_state: dict
 
     def restore(self):
-        """Fresh (params, twin, pools, batch, opt, cfgs, rngs): ``trainer.step``'s arguments for a group of one."""
+        """Fresh (params, twin, pool, batch, opt, cfgs, rngs): ``trainer.step``'s arguments for a group of one."""
         params = ModelParams(self.dims, self.cfg.model.classifier_bias, replicas=1)
         params.flat[:] = self.flat
         twin = MomentumTwin(params, self.cfg.keys.momentum)
@@ -50,22 +50,29 @@ class StepState:
         rng = np.random.default_rng()
         rng.bit_generator.state = self.rng_state
         batch = tuple(a.copy() for a in self.batch)
-        return params, twin, [copy.deepcopy(self.pool)], batch, opt, [self.cfg], [rng]
+        return params, twin, copy.deepcopy(self.pool), batch, opt, [self.cfg], [rng]
 
 
 def pool_arrays(pool: MocoQueues | MemoryBank) -> dict[str, np.ndarray]:
-    """Every array a pool holds: queue blocks and fills, or bank snapshots, labels and class segments."""
+    """Every array a store holds: queue rings and counts, or bank snapshots, labels and class segments."""
     return {name: value for name, value in vars(pool).items() if isinstance(value, np.ndarray)}
+
+
+def queue_entries(queues: MocoQueues, label: int) -> list[KeyEntry]:
+    """Copies of one class's keys in a lone queue store, oldest first."""
+    count = int(queues._count[0, label])
+    slots = np.arange(count - min(count, queues.queue_size), count) % queues.queue_size
+    return [KeyEntry(queues._h[0, label, s].copy(), queues._z[0, label, s].copy(), label) for s in slots]
 
 
 def capture_states(cfg: RunConfig, iterations) -> list[StepState]:
     """The state just before each listed step (counted from 1) of ``trainer.fit(cfg)``."""
     wanted, states, real_step, counter = set(iterations), [], trainer.step, itertools.count(1)
 
-    def capturing_step(params, twin, pools, batch, opt, cfgs, rngs):
+    def capturing_step(params, twin, pool, batch, opt, cfgs, rngs):
         iteration = next(counter)
         if iteration in wanted:
-            (pool,), (step_cfg,), (rng,) = pools, cfgs, rngs
+            (step_cfg,), (rng,) = cfgs, rngs
             states.append(StepState(
                 cfg=step_cfg,
                 iteration=iteration,
@@ -78,7 +85,7 @@ def capture_states(cfg: RunConfig, iterations) -> list[StepState]:
                 batch=tuple(a.copy() for a in batch),
                 rng_state=rng.bit_generator.state,  # a fresh dict on every read
             ))
-        return real_step(params, twin, pools, batch, opt, cfgs, rngs)
+        return real_step(params, twin, pool, batch, opt, cfgs, rngs)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(trainer, "step", capturing_step)

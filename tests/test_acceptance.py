@@ -20,6 +20,7 @@ from dualhead.keypool import KeyBatch, MemoryBank, MocoQueues
 from dualhead.losses import ccl, ce, cce, info_nce
 from dualhead.model import ModelDims, init_params, init_twin, momentum_update
 from dualhead.ndgrad import Tensor
+from step_states import queue_entries
 
 
 def unit_rows(rng, n, d):
@@ -168,8 +169,8 @@ def test_criterion_3_update_rule_algebra():
     bank = MemoryBank(np.array([0]), m_bank=0.5)
     bank.initialize(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
     bank.update(np.array([0]), np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]]))
-    np.testing.assert_allclose(bank.h_snap[0], [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12)
-    np.testing.assert_allclose(bank.z_snap[0], [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12)
+    np.testing.assert_allclose(bank.h_snap[0, 0], [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12)
+    np.testing.assert_allclose(bank.z_snap[0, 0], [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12)
 
     # FIFO eviction and per-class routing by exhaustive replay.
     pool = MocoQueues(class_count=3, queue_size=4)
@@ -183,7 +184,7 @@ def test_criterion_3_update_rule_algebra():
         history.append((label, vec_h))
         for c in range(3):
             expect = [h for (lab, h) in history if lab == c][-4:]
-            got = pool.entries(c)
+            got = queue_entries(pool, c)
             assert len(got) == len(expect)
             for e, h in zip(got, expect):
                 np.testing.assert_array_equal(e.h_key, h)

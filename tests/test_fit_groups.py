@@ -5,7 +5,8 @@ weights (and by whether a contrastive term is on), and ``trainer.fit_group``
 trains each group on the replica axis. Every member's ``metrics.csv``
 lines, final parameters, twin, velocity and pool arrays must be
 byte-identical to its own ``trainer.fit``, on both key generators and
-both warm-ups, under both reductions. A group that fails numerically, or
+both warm-ups, under both reductions, in groups of up to twenty that
+share one key store. A group that fails numerically, or
 whose replicas stop agreeing in shape, is fit again one config at a
 time, so each config still gets exactly its serial run or its serial
 error.
@@ -248,6 +249,31 @@ def test_key_batches_that_disagree_in_shape_fall_back_to_serial_fits(spies):
         assert fingerprint(run, opt.velocity) == expected
 
 
+@pytest.mark.parametrize("pool", list(POOLS))
+def test_a_group_of_twenty_is_its_twenty_serial_fits(pool, spies):
+    # One key store serves all twenty replicas: each member's metrics, params, twin, velocity and
+    # pool arrays are its serial fit's, and its pool is a read-only view of its replica's rows.
+    configs = [group_cfg(pool, "mean", ABLATION_COMBOS[1 + seed % 4], seed, iterations=4) for seed in range(20)]
+    want = serial_fingerprints(configs, spies)
+    opts, _ = spies
+    runs = trainer.fit_group(configs)
+    for i, (run, velocity, expected) in enumerate(zip(runs, opts[-1].velocity, want)):
+        got = fingerprint(run, velocity)
+        assert got.keys() == expected.keys()
+        for name in expected:
+            assert got[name] == expected[name], f"member {i}: {name}"
+    view = runs[3].pool
+    arrays = pool_arrays(view)
+    assert arrays and not any(a.flags.writeable for a in arrays.values())
+    with pytest.raises(ValueError, match="read-only"):
+        if pool.startswith("membank"):
+            h, z, _ = view.entry(np.array([0, 1]))
+            view.update(np.array([0, 1]), h, z)
+        else:
+            view.enqueue(*(a[0, 0, :1] for a in (view._h, view._z)), np.array([0]))
+    assert fingerprint(runs[3], opts[-1].velocity[3]) == want[3]
+
+
 def break_one_replica(monkeypatch, replica: int) -> None:
     """Make a group's row_l2_normalize see a zero row 0 in one replica: a failure no serial fit (R = 1) meets."""
     real = nd.row_l2_normalize
@@ -273,7 +299,7 @@ def test_a_failing_group_whose_serial_fits_succeed_gives_the_serial_runs(spies, 
     opts.clear()
     runs = cli_mod._fit_many(configs)
     assert [kind for kind, _ in calls] == ["fit_group"] + ["fit"] * 4
-    for run, opt, expected in zip(runs, opts[1:], want):
+    for run, opt, expected in zip(runs, opts[-4:], want):  # the group fails in its warm-up, before its optimizer
         assert fingerprint(run, opt.velocity) == expected
 
 

@@ -25,6 +25,7 @@ from dualhead.trainer import (
     step,
     warmup,
 )
+from step_states import queue_entries
 from unfused import newest_per_class_warmup
 
 
@@ -55,8 +56,8 @@ def small_cfg(**over):
 
 
 def step_alone(params, twin, pool, batch, opt, cfg, rng):
-    """``trainer.step`` for a fit group of one: its pool, config and generator as one-item sequences."""
-    return step(params, twin, [pool], batch, opt, [cfg], [rng])
+    """``trainer.step`` for a fit group of one: its config and generator as one-item sequences."""
+    return step(params, twin, pool, batch, opt, [cfg], [rng])
 
 
 def np_encode_raw(layers, x):
@@ -196,7 +197,7 @@ class TestStep:
         else:
             pool = MocoQueues(train.class_count, cfg.keys.queue_size)
         if warm:
-            warmup(twin.replicas()[0], pool, train)
+            warmup(twin, pool, train.features[None], train.labels[None])
         opt = init_optimizer(params, [cfg])
         batch = (train.features[None, :4], train.labels[None, :4], np.arange(4)[None])
         return train, params, twin, pool, opt, batch
@@ -294,7 +295,7 @@ class TestStep:
         for n in range(1, 4):
             step_alone(params, twin, pool, batch, opt, cfg, rng)
             assert len(calls) == draws * n
-        assert all(args == (cfg.keys.keys_per_class, len(batch[1][0]), rng) for args in calls)
+        assert all(args == (cfg.keys.keys_per_class, len(batch[1][0]), [rng]) for args in calls)
 
     def test_empty_pool_with_contrastive_terms(self):
         cfg = small_cfg()
@@ -308,7 +309,7 @@ class TestStep:
         _, params, twin, pool, opt, batch = self.setup_run(cfg, warm=False)
         h_k, z_k = forward_key(twin.replicas()[0], Tensor(batch[0][0]))
         step_alone(params, twin, pool, batch, opt, cfg, np.random.default_rng(0))
-        entries = [e for c in range(pool.class_count) for e in pool.entries(c)]
+        entries = [e for c in range(pool.class_count) for e in queue_entries(pool, c)]
         by_class = np.argsort(batch[1][0], kind="stable")
         np.testing.assert_array_equal([e.h_key for e in entries], h_k[by_class])
         np.testing.assert_array_equal([e.z_key for e in entries], z_k[by_class])
@@ -361,7 +362,7 @@ class TestStep:
         kpc = cfg.keys.keys_per_class
 
         # Freeze pre-step state for the replay.
-        pre_queues = [pool.entries(c) for c in range(train.class_count)]
+        pre_queues = [queue_entries(pool, c) for c in range(train.class_count)]
         pre_params = {name: t.data.copy() for name, t in view.named_parameters()}
         pre_twin_pw = twin_view.projector_w.data.copy()
         enc_layers = [(w.data.copy(), b.data.copy()) for w, b in view.encoder_layers]
@@ -432,20 +433,20 @@ class TestStep:
         # each class buffer now ends with the batch's last key of that class.
         for c in set(int(v) for v in y):
             last = max(j for j in range(len(y)) if y[j] == c)
-            np.testing.assert_allclose(pool.entries(c)[-1].h_key, hk_norm[last], atol=1e-15)
+            np.testing.assert_allclose(queue_entries(pool, c)[-1].h_key, hk_norm[last], atol=1e-15)
 
     def test_bank_mode_mixes_live_features(self):
         cfg = small_cfg(keys__generator="membank")
         train, params, twin, pool, opt, batch = self.setup_run(cfg)
         (x,), (y,), (ids,) = batch
-        pre_snap = pool.h_snap.copy()
+        (pre_snap,) = pool.h_snap.copy()
         enc_layers = [(w.data.copy(), b.data.copy()) for w, b in params.replicas()[0].encoder_layers]
         step_alone(params, twin, pool, batch, opt, cfg, np.random.default_rng(5))
         h = np_encode_raw(enc_layers, x)
         h_norm = h / np.linalg.norm(h, axis=1, keepdims=True)
         mixed = cfg.keys.bank_momentum * pre_snap[ids] + (1 - cfg.keys.bank_momentum) * h_norm
         mixed /= np.linalg.norm(mixed, axis=1, keepdims=True)
-        np.testing.assert_allclose(pool.h_snap[ids], mixed, atol=1e-12)
+        np.testing.assert_allclose(pool.h_snap[0, ids], mixed, atol=1e-12)
 
     @pytest.mark.parametrize("cce_weight", [1.0, 0.0])
     def test_bank_mode_normalizes_features_once(self, monkeypatch, cce_weight):
@@ -466,15 +467,14 @@ class TestWarmup:
         cfg = small_cfg(keys__queue_size=2)
         ds = make_blobs(2, 5, dim=3, separation=5.0, noise=0.5, seed=3)
         dims = ModelDims(in_dim=3, hidden=(6,), feature_dim=5, class_count=2, projector_dim=4)
-        params = init_params(dims, np.random.default_rng(4))
-        twin = init_twin(params, 0.9)
+        twin = init_twin(stack([init_params(dims, np.random.default_rng(4))]), 0.9)
         pool = MocoQueues(2, queue_size=2)
-        warmup(twin, pool, ds)
-        assert [len(pool.entries(c)) for c in range(2)] == [2, 2]
+        warmup(twin, pool, ds.features[None], ds.labels[None])
+        assert [len(queue_entries(pool, c)) for c in range(2)] == [2, 2]
         # Class blocks are contiguous: newest two of class c are its last rows.
         for c, newest_ids in ((0, [3, 4]), (1, [8, 9])):
-            h_t, _ = forward_key(twin, Tensor(ds.features[newest_ids]))
-            got = pool.entries(c)
+            h_t, _ = forward_key(twin.replicas()[0], Tensor(ds.features[newest_ids]))
+            got = queue_entries(pool, c)
             for row, e in zip(h_t, got):
                 np.testing.assert_allclose(e.h_key, row, atol=1e-15)
 
@@ -488,12 +488,12 @@ class TestWarmup:
         blobs = make_blobs(6, 50, dim=5, separation=5.0, noise=0.8, seed=7)
         ds = blobs.take(np.random.default_rng(8).permutation(len(blobs)))
         dims = ModelDims(in_dim=5, hidden=hidden, feature_dim=5, class_count=6, projector_dim=4)
-        twin = init_twin(init_params(dims, np.random.default_rng(9)), 0.9)
+        twin = init_twin(stack([init_params(dims, np.random.default_rng(9))]), 0.9)
         pool, want = MocoQueues(6, queue_size), MocoQueues(6, queue_size)
-        warmup(twin, pool, ds)
-        newest_per_class_warmup(twin, want, ds)
+        warmup(twin, pool, ds.features[None], ds.labels[None])
+        newest_per_class_warmup(twin.replicas()[0], want, ds)
         for c in range(6):
-            got, expect = pool.entries(c), want.entries(c)
+            got, expect = queue_entries(pool, c), queue_entries(want, c)
             assert len(got) == len(expect) == min(queue_size, 50)
             for part in ("h_key", "z_key"):
                 a, b = (np.array([getattr(e, part) for e in entries]) for entries in (got, expect))
@@ -503,21 +503,20 @@ class TestWarmup:
         cfg = small_cfg(keys__generator="membank")
         ds = make_blobs(2, 7, dim=3, separation=5.0, noise=0.5, seed=5)
         dims = ModelDims(in_dim=3, hidden=(6,), feature_dim=5, class_count=2, projector_dim=4)
-        params = init_params(dims, np.random.default_rng(6))
-        twin = init_twin(params, 0.9)
+        twin = init_twin(stack([init_params(dims, np.random.default_rng(6))]), 0.9)
         bank = MemoryBank(ds.labels, m_bank=0.5)
-        warmup(twin, bank, ds)
+        warmup(twin, bank, ds.features[None], ds.labels[None])
         assert len(bank) == len(ds)
-        np.testing.assert_allclose(np.linalg.norm(bank.h_snap, axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(bank.h_snap, axis=-1), 1.0, atol=1e-12)
         first = bank.h_snap.copy()
-        warmup(twin, bank, ds)  # re-initialization is idempotent
+        warmup(twin, bank, ds.features[None], ds.labels[None])  # re-initialization is idempotent
         np.testing.assert_array_equal(bank.h_snap, first)
 
     @pytest.mark.parametrize("iterations", [1, 3, 40])
     def test_deferred_queue_takes_each_key_once(self, iterations):
         run = fit(small_cfg(iterations=iterations, keys__warmup_mode="defer", keys__queue_size=8))
         for c in range(run.pool.class_count):
-            rows = np.array([e.h_key for e in run.pool.entries(c)])
+            rows = np.array([e.h_key for e in queue_entries(run.pool, c)])
             assert len(rows) > 0 and len(np.unique(rows, axis=0)) == len(rows), c
 
     @pytest.mark.parametrize("seed", range(3))

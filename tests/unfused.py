@@ -20,12 +20,17 @@ runs gradcheck's comparison over that loop, leaf by leaf, for forwards
 built on the 2-D-only chains above, which cannot take a replica axis,
 and as the oracle of gradcheck's whole report.
 
-The key pools' earlier forms are kept the same way: ``RingQueues``, the
-per-class ring buffers with a head slot and modular slot arithmetic;
-``per_class_bank_sample``, the memory bank's per-class gather; and
-``newest_per_class_warmup``, the queue warm-up that forwarded only each
-class's newest ``queue_size`` rows. ``slot0_batch`` is the concatenation
-that once put each query's own key ahead of its drawn keys.
+The key pools' earlier forms are kept the same way, each for a lone
+pool of one replica: ``RingQueues``, per-class ring buffers with a head
+slot per class, written one class at a time; ``per_class_bank_sample``,
+the memory bank's per-class gather; and ``newest_per_class_warmup``, the
+queue warm-up that forwarded only each class's newest ``queue_size``
+rows. ``slot0_batch`` is the concatenation that once put each query's
+own key ahead of its drawn keys. ``checked_mix`` is the bank update as
+it ran before it stopped re-checking the rows it had just divided by
+their own checked norms, and ``checked_draw`` the draw as it ran before
+it stopped re-checking the drawn rows, which were checked as they
+entered the store.
 
 A fit is stacked even alone, with a replica axis of one.
 ``lone_linear``, ``lone_masked_nll`` and ``row_dot_slab`` run the
@@ -43,7 +48,7 @@ import numpy as np
 import dualhead.model as model_mod
 import dualhead.ndgrad as nd
 from dualhead.gradcheck import EPS, REL_FLOOR, analytic_gradients
-from dualhead.keypool import KeyBatch, KeyEntry, MocoQueues, _check_unit, _draw, _key_rows
+from dualhead.keypool import KeyBatch, KeyEntry, MemoryBank, MocoQueues, _check_unit, _draw, _draw_keys, _key_rows
 from dualhead.ndgrad import ShapeError, Tensor
 
 
@@ -204,19 +209,29 @@ def worst_relative_error(
     return float(worst)
 
 
-class RingQueues(MocoQueues):
+def lone_rows(h, z, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One replica's (n x d), (n x L) and (n,) key rows as float64 and int64 arrays."""
+    return np.asarray(h, dtype=np.float64), np.asarray(z, dtype=np.float64), np.asarray(labels, dtype=np.int64)
+
+
+class RingQueues:
     """Per-class ring buffers: a class's oldest key sits at its head slot, the rest follow modulo queue_size."""
 
     def __init__(self, class_count: int, queue_size: int):
-        super().__init__(class_count, queue_size)
+        self.class_count, self.queue_size = class_count, queue_size
+        self._h = self._z = None
         self._head = np.zeros(self.class_count, dtype=np.int64)
+        self._fill = np.zeros(self.class_count, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return int(self._fill.sum())
 
     def entries(self, label: int) -> list[KeyEntry]:
         slots = (self._head[label] + np.arange(self._fill[label])) % self.queue_size
         return [KeyEntry(self._h[label, s].copy(), self._z[label, s].copy(), label) for s in slots]
 
     def enqueue(self, h: np.ndarray, z: np.ndarray, labels: np.ndarray) -> None:
-        h, z, labels = _key_rows(h, z, labels)
+        h, z, labels = lone_rows(h, z, labels)
         outside = labels[(labels < 0) | (labels >= self.class_count)]
         if outside.size:
             raise IndexError(f"label {outside[0]} out of range [0, {self.class_count})")
@@ -237,7 +252,7 @@ class RingQueues(MocoQueues):
 
     def sample(self, keys_per_class: int, h_query, z_query, labels, rng: np.random.Generator):
         classes = np.flatnonzero(self._fill)
-        picks = _draw(rng, len(labels), self._fill[classes], keys_per_class)
+        picks = _draw([rng], len(labels), self._fill[classes][None], keys_per_class)[0]
         b = picks.shape[0]
         cls = np.broadcast_to(classes[None, :, None], picks.shape).reshape(b, -1)
         slots = ((self._head[classes][None, :, None] + picks) % self.queue_size).reshape(b, -1)
@@ -246,19 +261,20 @@ class RingQueues(MocoQueues):
 
 def per_class_bank_sample(bank, count_per_class: int, h_query, z_query, labels, rng, uniform: bool = False):
     """MemoryBank.sample through per-class member lists, one fancy index per class."""
-    members = [np.flatnonzero(bank.labels == c) for c in np.unique(bank.labels)]
+    (bank_labels,), (h_snap,), (z_snap,) = bank.labels, bank.h_snap, bank.z_snap  # a lone bank
+    members = [np.flatnonzero(bank_labels == c) for c in np.unique(bank_labels)]
     if uniform:
-        picks = _draw(rng, len(labels), [bank.labels.shape[0]], count_per_class * len(members))
+        picks = _draw([rng], len(labels), np.array([[bank_labels.shape[0]]]), count_per_class * len(members))[0]
         idx = picks[:, 0]
     else:
-        picks = _draw(rng, len(labels), [m.shape[0] for m in members], count_per_class)
+        picks = _draw([rng], len(labels), np.array([[m.shape[0] for m in members]]), count_per_class)[0]
         idx = np.stack([m[picks[:, j]] for j, m in enumerate(members)], axis=1).reshape(picks.shape[0], -1)
-    return slot0_batch((h_query, z_query, labels), bank.h_snap[idx], bank.z_snap[idx], bank.labels[idx])
+    return slot0_batch((h_query, z_query, labels), h_snap[idx], z_snap[idx], bank_labels[idx])
 
 
 def slot0_batch(queries, h: np.ndarray, z: np.ndarray, labels: np.ndarray) -> KeyBatch:
     """Each query's own key concatenated ahead of its drawn keys, every row then unit-checked."""
-    h_q, z_q, y = _key_rows(*queries)
+    h_q, z_q, y = lone_rows(*queries)
     batch = KeyBatch(
         h_keys=np.concatenate([h_q[:, None, :], h], axis=1),
         z_keys=np.concatenate([z_q[:, None, :], z], axis=1),
@@ -273,3 +289,22 @@ def newest_per_class_warmup(twin, pool: MocoQueues, ds) -> None:
     newest = [np.flatnonzero(ds.labels == c)[-pool.queue_size:] for c in range(ds.class_count)]
     order = np.sort(np.concatenate(newest))
     pool.enqueue(*model_mod.forward_key(twin, Tensor(ds.features[order])), ds.labels[order])
+
+
+def checked_mix(bank: MemoryBank, ids, h_new, z_new) -> None:
+    """``MemoryBank.mix`` with the unit check of the divided rows it once ran before writing them."""
+    index = bank._index(ids)
+    h_new, z_new, _ = _key_rows(h_new, z_new, ids)
+    _check_unit(ids, h_new=h_new, z_new=z_new)
+    m = bank.m_bank
+    h, z = m * bank.h_snap[index] + (1.0 - m) * h_new, m * bank.z_snap[index] + (1.0 - m) * z_new
+    h, z = h / nd.row_norms(h, "h_snapshot", ids=ids), z / nd.row_norms(z, "z_snapshot", ids=ids)
+    _check_unit(ids, h_snapshot=h, z_snapshot=z)
+    bank.h_snap[index], bank.z_snap[index] = h, z
+
+
+def checked_draw(store, keys_per_class: int, h_query, z_query, labels, rngs) -> KeyBatch:
+    """``store.draw`` with the unit check of the whole gathered block, drawn rows included, that it once ran."""
+    batch = _draw_keys(store, keys_per_class, h_query, z_query, labels, rngs)
+    _check_unit(h_keys=batch.h_keys, z_keys=batch.z_keys)
+    return batch
